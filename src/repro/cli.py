@@ -72,14 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for sweep cells: 1 = serial (default), "
              "0 = all cores; results are identical regardless")
     parser.add_argument(
-        "--reference", action="store_true",
-        help="disable event-driven fast-forwarding (slower, "
-             "bit-identical results; for validation)")
-    parser.add_argument(
         "--engine", choices=("array", "object"), default=None,
-        help="simulation engine: 'array' (compiled kernels + "
-             "steady-state replay; default) or 'object' (per-cycle "
-             "reference loop, slower, bit-identical results)")
+        help="simulation engine: 'array' (compiled kernels; default) "
+             "or 'object' (per-cycle reference loop, slower, "
+             "bit-identical results)")
     parser.add_argument(
         "--json", metavar="PATH",
         help="also dump experiment data as JSON to PATH")
@@ -318,8 +314,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment in ("status", "results"):
         return _run_service_query(args)
     config = POWER5.small() if args.preset == "small" else POWER5.default()
-    if args.reference:
-        config = dataclasses.replace(config, fast_forward=False)
     if args.engine:
         config = dataclasses.replace(config, engine=args.engine)
     if args.prefetch:

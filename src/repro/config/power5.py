@@ -130,22 +130,14 @@ class CoreConfig:
     branch_ends_group: bool = True
     low_power_decode_interval: int = 32  # (1,1) mode: 1 decode / N cycles
 
-    # Simulation engine.  With ``fast_forward`` the step loop jumps
-    # over provably-uneventful cycle spans (all threads blocked on
-    # memory, low-power slot gaps, starvation waits) instead of
-    # iterating them one by one; results are bit-identical to the
-    # per-cycle reference loop (``fast_forward=False``), which remains
-    # available for differential validation.
-    fast_forward: bool = True
-    # Dense-dispatch engine.  ``"array"`` (the default) precompiles
-    # each trace into flat struct-of-arrays form and runs the inlined
+    # Simulation engine.  ``"array"`` (the default) compiles each
+    # trace into per-group kernels and runs the inlined
     # decode/issue/retire loop of :class:`repro.core.ArraySMTCore`;
     # ``"object"`` walks per-instruction ``Instruction`` tuples through
-    # ``SMTCore._decode_slot``.  Like ``fast_forward``, the switch
-    # never changes simulated behaviour -- both engines are
-    # bit-identical on every counter -- so it is excluded from the
-    # fingerprint and the object engine stays available as the
-    # differential reference.
+    # ``SMTCore._decode_slot``, one cycle at a time.  The switch never
+    # changes simulated behaviour -- both engines are bit-identical on
+    # every counter -- so it is excluded from the fingerprint and the
+    # object engine stays available as the differential reference.
     engine: str = "array"
 
     # Execution resources (units are fully pipelined, 1 op/cycle each)
@@ -200,17 +192,20 @@ class CoreConfig:
         Used as a cache key for memoised trace construction and to tag
         benchmark records: two configurations with equal fields always
         share a fingerprint, and any field change produces a new one.
-        The simulation-engine switches (``fast_forward``, ``engine``)
-        are excluded -- they never change simulated behaviour, only how
-        the step loop advances time, so results cached under one engine
-        stay valid (and shared) under the other.  A fully disabled
+        The simulation-engine switch (``engine``) is excluded -- it
+        never changes simulated behaviour, so results cached under one
+        engine stay valid (and shared) under the other.  A fully disabled
         prefetcher is excluded for the same reason: it never trains,
         issues or counts, so every ``enabled=(False, False)`` variant
         collapses onto the hash of a machine with no prefetcher at all
         (keeping caches from before the subsystem existed valid).
         """
-        canonical = repr(dataclasses.replace(
-            self, fast_forward=True, engine="array"))
+        canonical = repr(dataclasses.replace(self, engine="array"))
+        # The hashed form keeps the slot of a since-removed engine
+        # field, so every fingerprint (trace-cache and result keys
+        # included) stays the value it has always been.
+        canonical = canonical.replace(
+            ", engine='array'", ", fast_forward=True, engine='array'", 1)
         if not self.prefetch.enabled_any:
             canonical = canonical.replace(
                 f", prefetch={self.prefetch!r}", "", 1)

@@ -17,8 +17,8 @@ call.  Three layers of cost disappear relative to the object engine:
   held, retired, decoded, wait accumulators) in *locals* and syncs
   them to the thread objects only at the rare boundaries where
   something else can observe them: before a balancer flush, a
-  monitoring-window update, a periodic hook, a fast-forward plan, a
-  reference-path decode, and on return from ``step``.
+  monitoring-window update, a periodic hook, a reference-path decode,
+  and on return from ``step``.
 
 Exactness is structural, not approximate: a kernel performs exactly
 the scoreboard reads, unit-pool claims and counter increments the
@@ -29,11 +29,12 @@ containing a priority nop, traces with dynamic group extents, traces
 too large to compile -- falls back to the inherited
 ``SMTCore._decode_slot``, which is the reference implementation
 itself.  Instrumented runs (pipeline tracer) and repetition-gated
-runs route to the inherited step loop wholesale.  The object engine
-remains the differential reference, exactly as ``fast_forward=False``
-remains the reference for the skip planner;
-``tests/test_array_engine_differential`` asserts bit-identity across
-the full microbenchmark x priority matrix.
+runs route to the inherited step loop wholesale.  Like the object
+engine, this loop advances one cycle at a time: it is the only fast
+path, and it skips nothing.  The object engine remains the
+differential reference; ``tests/test_array_engine_differential.py``
+asserts bit-identity across the full microbenchmark x priority
+matrix.
 
 Kernel binding: a kernel list is instantiated per (thread, trace,
 group width) by the process-wide factory cache in
@@ -45,15 +46,7 @@ identity -- no per-repetition hashing.
 from __future__ import annotations
 
 from repro.config import CoreConfig
-from repro.core.smt_core import (
-    _PLAN_VETO_CYCLES,
-    _PLAN_VETO_GIVEUP,
-    _PLAN_VETO_MAX,
-    _PLAN_VETO_SHORT,
-    SMTCore,
-)
-from repro.core.steadyreplay import _VERIFIED as _VERIFIED_STATE
-from repro.core.steadyreplay import SteadyReplay
+from repro.core.smt_core import SMTCore
 from repro.core.thread import HardwareThread
 from repro.isa.compiled import SCOREBOARD_SLOTS
 from repro.isa.kernelgen import KernelConsts
@@ -164,17 +157,6 @@ class ArraySMTCore(SMTCore):
         self._dispatch_arb = None
         # Group width -> baked kernel constants.
         self._kern_consts: dict[int, KernelConsts] = {}
-        # Steady-state replay telescoping (exact whole-period jumps in
-        # uninstrumented runs).  The flag is an instance toggle rather
-        # than a CoreConfig field: jumps are bit-exact, so the knob is
-        # not part of the machine's identity (config fingerprints and
-        # cached results stay comparable across it).
-        self.steady_replay = True
-        self._steady: SteadyReplay | None = None
-
-    def load(self, *args, **kwargs) -> None:
-        super().load(*args, **kwargs)
-        self._steady = SteadyReplay(self)
 
     def _make_thread(self, thread_id: int, source: TraceSource,
                      privilege: PrivilegeLevel) -> ArrayThread:
@@ -234,14 +216,13 @@ class ArraySMTCore(SMTCore):
         return kernels
 
     def _array_locals(self):
-        """Hot-loop locals: dense threads, width and dispatch table.
+        """Hot-loop locals: group width and dispatch table.
 
         The table maps ``cycle % len(table)`` to the owning thread id
         (or None) -- every arbiter mode's owner pattern is periodic
         with the period used here, which ``owner()`` itself guarantees
         since the table is built by evaluating it.
         """
-        dense_a, dense_b = self._dense_threads()
         arb = self._arbiter
         mode = arb.mode
         if mode is ArbiterMode.LOW_POWER or mode is ArbiterMode.LOW_POWER_ST:
@@ -262,58 +243,10 @@ class ArraySMTCore(SMTCore):
             tab = [owner(c) for c in range(period)]
             self._dispatch_tab = tab
             self._dispatch_arb = arb
-        return dense_a, dense_b, width, tab, len(tab)
+        return width, tab, len(tab)
 
-    def step(self, cycles: int) -> int:
-        """Simulate ``cycles`` cycles; returns cycles actually run.
-
-        Runs go through the steady-state replay driver
-        (:mod:`repro.core.steadyreplay`), which mixes dense spans with
-        exact whole-period jumps once the machine has settled into a
-        verified periodic regime.  Hooked runs (PMU sampling, the
-        governor, kernel timer ticks) telescope too: the driver clamps
-        every jump at the next pending fire time and dense spans fire
-        hooks at their exact cycle, so observations land on the same
-        cycles with the same counter values as a fully dense run.
-        Chip-attached cores (``hierarchy.chip_port``) telescope only
-        inside regimes verified to make zero shared-bus grants.  Only
-        the tracer and repetition gates -- per-cycle observers no jump
-        can reproduce -- force the plain dense path, as does
-        ``steady_replay = False``.
-        """
-        if cycles <= 0:
-            return 0
-        replay = self._steady
-        if (replay is None or replay.disabled
-                or not self.steady_replay
-                or self._tracer is not None
-                or self._rep_gate is not None):
-            return self._step_dense(cycles)
-        replay.run(self._cycle + cycles)
-        return cycles
-
-    def steady_bus_quiet(self) -> bool:
-        """True in a verified steady regime that never touches the bus.
-
-        :class:`~repro.chip.Chip` uses this to enlarge its
-        synchronization quantum: a chip-attached core only reaches
-        ``_VERIFIED`` when its verification period made zero shared-bus
-        grants, so until the regime voids it cannot interact with
-        sibling cores and fine slicing buys nothing.  Periodic hooks
-        (kernel timer, governor, sampler) do not disqualify a core:
-        they fire at their exact cycles inside any quantum (jumps clamp
-        at the next fire time) and touch only their own core's state.
-        """
-        replay = self._steady
-        return (replay is not None and not replay.disabled
-                and self.steady_replay
-                and replay.state == _VERIFIED_STATE
-                and replay.port_quiet
-                and self._tracer is None
-                and self._rep_gate is None)
-
-    def _step_dense(self, cycles: int) -> int:  # noqa: C901 (the hot loop)
-        """Simulate ``cycles`` cycles one at a time (no telescoping)."""
+    def step(self, cycles: int) -> int:  # noqa: C901 (the hot loop)
+        """Simulate ``cycles`` cycles; returns cycles actually run."""
         if cycles <= 0:
             return 0
         if self._tracer is not None or self._rep_gate is not None:
@@ -340,7 +273,6 @@ class ArraySMTCore(SMTCore):
         horizon = bal.FLUSH_HORIZON
 
         prio_p, prio_s = self.priorities
-        fast = cfg.fast_forward and not self._ff_giveup
         gct_groups = cfg.gct_groups
         bal_on = bal_enabled and t0 is not None and t1 is not None
         misp_pen = cfg.branch.mispredict_penalty
@@ -349,9 +281,7 @@ class ArraySMTCore(SMTCore):
         #                                  unkernelizable traces)
         BIG = 1 << 62
 
-        dense_a, dense_b, dec_width, tab, tab_len = self._array_locals()
-        da = -1 if dense_a is None else dense_a.thread_id
-        db = -1 if dense_b is None else dense_b.thread_id
+        dec_width, tab, tab_len = self._array_locals()
         one = tab_len == 1
         tid0 = tab[0]
         kern0 = self._live_kernels(t0, dec_width)
@@ -359,8 +289,7 @@ class ArraySMTCore(SMTCore):
 
         # Hot per-thread state lives in locals; the thread objects are
         # synced before anything that can observe them runs (reference
-        # decode, flush, window update, hooks, the skip planner) and on
-        # return.  ``balancer_stalled`` is written through on change
+        # decode, flush, window update, hooks) and on return.  ``balancer_stalled`` is written through on change
         # (transitions are rare) so the attribute is never stale;
         # ``throttled`` is only ever written by the window update and
         # hooks, so the local is reloaded there.
@@ -429,9 +358,6 @@ class ArraySMTCore(SMTCore):
         nh = self._next_hook
         if 0 <= nh < due:
             due = nh
-        plan_veto = 0
-        veto_len = _PLAN_VETO_CYCLES
-        giveup_left = _PLAN_VETO_GIVEUP
         while now < end:
             slow = now >= due
             if slow and now >= next_gc:
@@ -441,7 +367,6 @@ class ArraySMTCore(SMTCore):
             # Same slot-passing strictness as the object engine: an
             # *empty* owner (no context, workload finished) passes the
             # slot to the sibling; a merely *blocked* owner wastes it.
-            dispatched = False
             tid = tid0 if one else tab[now % tab_len]
             if tid is not None:
                 if tid == 0:
@@ -481,7 +406,6 @@ class ArraySMTCore(SMTCore):
                             gct_used += 1
                             dec0 += cnt
                             grp0 += 1
-                            dispatched = True
                             pos0 = p2
                             if rd:
                                 t0.advance_repetition()
@@ -509,7 +433,7 @@ class ArraySMTCore(SMTCore):
                             t0.stall_until = su0
                             t0.pos = pos0
                             self._gct_used = gct_used
-                            dispatched = decode_slot(t0, 0, now, dec_width)
+                            decode_slot(t0, 0, now, dec_width)
                             own0 = t0.owned_slots
                             gh0 = t0.gct_held
                             dec0 = t0.decoded
@@ -532,12 +456,8 @@ class ArraySMTCore(SMTCore):
                             if arbiter is not self._arbiter:
                                 arbiter = self._arbiter
                                 prio_p, prio_s = self.priorities
-                                (dense_a, dense_b, dec_width,
-                                 tab, tab_len) = self._array_locals()
-                                da = (-1 if dense_a is None
-                                      else dense_a.thread_id)
-                                db = (-1 if dense_b is None
-                                      else dense_b.thread_id)
+                                dec_width, tab, tab_len = (
+                                    self._array_locals())
                                 one = tab_len == 1
                                 tid0 = tab[0]
                                 kern1 = self._live_kernels(t1, dec_width)
@@ -575,7 +495,6 @@ class ArraySMTCore(SMTCore):
                             gct_used += 1
                             dec1 += cnt
                             grp1 += 1
-                            dispatched = True
                             pos1 = p2
                             if rd:
                                 t1.advance_repetition()
@@ -601,7 +520,7 @@ class ArraySMTCore(SMTCore):
                             t1.stall_until = su1
                             t1.pos = pos1
                             self._gct_used = gct_used
-                            dispatched = decode_slot(t1, 1, now, dec_width)
+                            decode_slot(t1, 1, now, dec_width)
                             own1 = t1.owned_slots
                             gh1 = t1.gct_held
                             dec1 = t1.decoded
@@ -624,12 +543,8 @@ class ArraySMTCore(SMTCore):
                             if arbiter is not self._arbiter:
                                 arbiter = self._arbiter
                                 prio_p, prio_s = self.priorities
-                                (dense_a, dense_b, dec_width,
-                                 tab, tab_len) = self._array_locals()
-                                da = (-1 if dense_a is None
-                                      else dense_a.thread_id)
-                                db = (-1 if dense_b is None
-                                      else dense_b.thread_id)
+                                dec_width, tab, tab_len = (
+                                    self._array_locals())
                                 one = tab_len == 1
                                 tid0 = tab[0]
                                 kern0 = self._live_kernels(t0, dec_width)
@@ -792,8 +707,6 @@ class ArraySMTCore(SMTCore):
                     if now >= h[1]:
                         h[1] += h[0]
                         h[2](self, now)
-                        if not h[3]:
-                            self._hook_mut_gen += 1
                 self._next_hook = min(h[1] for h in self._hooks)
                 if t0 is not None:
                     own0, gh0, ret0 = (t0.owned_slots, t0.gct_held,
@@ -829,10 +742,7 @@ class ArraySMTCore(SMTCore):
                 if arbiter is not self._arbiter:
                     arbiter = self._arbiter
                     prio_p, prio_s = self.priorities
-                    (dense_a, dense_b, dec_width,
-                     tab, tab_len) = self._array_locals()
-                    da = -1 if dense_a is None else dense_a.thread_id
-                    db = -1 if dense_b is None else dense_b.thread_id
+                    dec_width, tab, tab_len = self._array_locals()
                     one = tab_len == 1
                     tid0 = tab[0]
                 kern0 = self._live_kernels(t0, dec_width)
@@ -849,91 +759,6 @@ class ArraySMTCore(SMTCore):
                     due = nh
 
             now += 1
-
-            # -- fast-forward over provably-uneventful cycles ----------
-            if fast and not dispatched and now < end:
-                if plan_veto:
-                    plan_veto -= 1
-                elif (gct_used < gct_groups
-                        and (((da == 0 or db == 0) and avail0
-                              and su0 <= now and not bst0 and not thr0)
-                             or ((da == 1 or db == 1) and avail1
-                                 and su1 <= now and not bst1
-                                 and not thr1))):
-                    plan_veto = veto_len
-                    if veto_len < _PLAN_VETO_MAX:
-                        veto_len *= 2
-                    elif giveup_left:
-                        giveup_left -= 1
-                        if not giveup_left:
-                            fast = False
-                            self._ff_giveup = True
-                else:
-                    # The planner reads slot/GCT/stall/position state;
-                    # the accounting writes the slot-loss counters.
-                    if t0 is not None:
-                        t0.owned_slots = own0
-                        t0.gct_held = gh0
-                        t0.stall_until = su0
-                        t0.pos = pos0
-                        t0.wasted_slots = ws0
-                        t0.slots_lost_gct = lg0
-                        t0.slots_lost_stall = ls0
-                        t0.slots_lost_balancer = lb0
-                        t0.slots_lost_throttle = lt0
-                    if t1 is not None:
-                        t1.owned_slots = own1
-                        t1.gct_held = gh1
-                        t1.stall_until = su1
-                        t1.pos = pos1
-                        t1.wasted_slots = ws1
-                        t1.slots_lost_gct = lg1
-                        t1.slots_lost_stall = ls1
-                        t1.slots_lost_balancer = lb1
-                        t1.slots_lost_throttle = lt1
-                    self._gct_used = gct_used
-                    target = self._skip_target(now, end, prio_p, prio_s)
-                    if target > now:
-                        self._account_skip(now, target)
-                        short = target - now < _PLAN_VETO_SHORT
-                        now = target
-                        if t0 is not None:
-                            own0 = t0.owned_slots
-                            ws0 = t0.wasted_slots
-                            lg0 = t0.slots_lost_gct
-                            ls0 = t0.slots_lost_stall
-                            lb0 = t0.slots_lost_balancer
-                            lt0 = t0.slots_lost_throttle
-                        if t1 is not None:
-                            own1 = t1.owned_slots
-                            ws1 = t1.wasted_slots
-                            lg1 = t1.slots_lost_gct
-                            ls1 = t1.slots_lost_stall
-                            lb1 = t1.slots_lost_balancer
-                            lt1 = t1.slots_lost_throttle
-                        if short:
-                            # Short skips (see _PLAN_VETO_SHORT) count
-                            # as unproductive for the back-off.
-                            plan_veto = veto_len
-                            if veto_len < _PLAN_VETO_MAX:
-                                veto_len *= 2
-                            elif giveup_left:
-                                giveup_left -= 1
-                                if not giveup_left:
-                                    fast = False
-                                    self._ff_giveup = True
-                        else:
-                            veto_len = _PLAN_VETO_CYCLES
-                            giveup_left = _PLAN_VETO_GIVEUP
-                    else:
-                        plan_veto = veto_len
-                        if veto_len < _PLAN_VETO_MAX:
-                            veto_len *= 2
-                        elif giveup_left:
-                            giveup_left -= 1
-                            if not giveup_left:
-                                fast = False
-                                self._ff_giveup = True
 
         if t0 is not None:
             t0.owned_slots = own0

@@ -22,22 +22,10 @@ The step loop is written for speed (flat locals, integer op codes,
 minimal allocation): full experiment sweeps simulate hundreds of
 millions of cycles.
 
-Two execution strategies share one per-cycle body:
-
-- the **reference loop** (``CoreConfig.fast_forward=False``) advances
-  ``now`` one cycle at a time, always;
-- the **fast-forward loop** (the default) detects cycles in which no
-  group was dispatched and asks :meth:`_skip_target` for the next
-  *interesting* cycle -- the earliest of any thread's ``stall_until``,
-  the oldest in-flight group completion, a ready thread's next owned
-  decode slot (closed-form arbiter arithmetic, including low-power
-  slot gaps and starvation waits), the next balancer monitoring
-  window, a possible balancer flush, and the next periodic hook.  The
-  skipped span is provably uneventful, so its only effects are slot
-  and stall counters, which :meth:`_account_skip` applies in closed
-  form.  Results are bit-identical to the reference loop; the
-  differential test suite asserts this across the full workload x
-  priority matrix.
+The loop advances ``now`` one cycle at a time, always.  This engine is
+the plain per-cycle oracle: the compiled array engine
+(:mod:`repro.core.array_engine`) is the fast path, and the differential
+test suites assert the two produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -67,39 +55,6 @@ _OP_BRANCH = int(OpClass.BRANCH)
 _OP_NOP = int(OpClass.NOP)
 _OP_PRIO = int(OpClass.PRIO_NOP)
 
-#: Cycles the fast-forward planner stays vetoed after an unproductive
-#: attempt.  Dense dispatch phases re-check only once per veto window
-#: instead of every no-dispatch cycle; kept short (tuned against
-#: BENCH_simcore.json) so memory-bound phases whose stalls begin right
-#: after a failed attempt lose at most this many skippable cycles.
-_PLAN_VETO_CYCLES = 8
-
-#: Ceiling of the adaptive veto back-off.  Dense-dispatch phases (an
-#: SMT pair trading every slot) never yield a skip, so repeated
-#: unproductive attempts double the veto up to this bound -- capping
-#: planner overhead at ~1/256 of no-dispatch cycles -- while one
-#: successful skip resets it so skip-rich (DRAM-bound) phases are
-#: planned at full rate.  The veto only delays *when* the planner is
-#: consulted; suppression is always exact, so simulated state is
-#: identical at any veto length.
-_PLAN_VETO_MAX = 256
-
-#: Skips shorter than this do not reset the veto back-off: a skip that
-#: saves fewer cycles than the planner consult costs is a net loss, so
-#: it must not re-arm full-rate planning.  The skip itself is still
-#: taken -- it is exact and already computed.
-_PLAN_VETO_SHORT = 16
-
-#: Consecutive unproductive consults *at the maximum veto* before the
-#: fast path gives up for the rest of the run.  Workloads that trade a
-#: dispatch nearly every cycle (e.g. an L2-resident load thread paired
-#: with an integer thread) never yield a profitable skip; past this
-#: point even the per-cycle veto bookkeeping is pure overhead, so the
-#: core falls back to the reference loop.  Giving up only stops
-#: *looking* for skips -- the per-cycle body is the reference
-#: behaviour, so results are identical -- and ``load`` re-arms it.
-_PLAN_VETO_GIVEUP = 8
-
 #: A repetition gate: ``gate(thread_id, rep_index, now)`` -> may start.
 RepGate = Callable[[int, int, int], bool]
 
@@ -121,14 +76,8 @@ class SMTCore:
         self._cycle = 0
         self._gct_used = 0
         self._rep_gate: RepGate | None = None
-        # Periodic hooks: [period, next_fire, callable(core, now),
-        # observer].  Non-observer firings bump _hook_mut_gen, which
-        # the steady-replay telescoper treats as a regime void.
+        # Periodic hooks: [period, next_fire, callable(core, now)].
         self._hooks: list[list] = []
-        self._hook_mut_gen = 0
-        # Set when the fast-forward planner has proved unproductive for
-        # the current workload (see _PLAN_VETO_GIVEUP); cleared by load.
-        self._ff_giveup = False
         # Earliest pending hook fire time (-1: no hooks).  Maintained
         # on registration and after every firing so hooks registered
         # mid-step (e.g. from another hook) are never silently skipped.
@@ -150,7 +99,7 @@ class SMTCore:
         self._lsu_pool = self.fus.lsu
         self._fpu_pool = self.fus.fpu
         self._bxu_issue = self.fus.bxu.issue
-        self._hier_load = self.hierarchy.load_complete
+        self._hier_load = self.hierarchy.load
         self._hier_store = self.hierarchy.store
 
     # ------------------------------------------------------------------
@@ -194,8 +143,6 @@ class SMTCore:
                     th.gated = True
         self._hooks = []
         self._next_hook = -1
-        self._hook_mut_gen = 0
-        self._ff_giveup = False
         self._rebuild_arbiter()
 
     def _make_thread(self, thread_id: int, source: TraceSource,
@@ -211,42 +158,18 @@ class SMTCore:
         """Stop recording pipeline events."""
         self._tracer = None
 
-    def steady_bus_quiet(self) -> bool:
-        """True when this core is in a verified bus-quiet steady regime.
-
-        :class:`~repro.chip.Chip` consults this to enlarge its
-        synchronization quantum: a core whose verified steady period
-        makes zero shared-bus requests cannot interact with its
-        siblings, so slicing it finely buys nothing.  The object engine
-        never proves periodicity, hence always ``False``; the array
-        engine overrides this (see
-        :meth:`repro.core.array_engine.ArraySMTCore.steady_bus_quiet`).
-        """
-        return False
-
     def add_periodic_hook(self, period: int,
-                          hook: Callable[["SMTCore", int], None],
-                          observer: bool = False) -> None:
+                          hook: Callable[["SMTCore", int], None]) -> None:
         """Run ``hook(core, now)`` every ``period`` cycles.
 
         Used by the kernel models to inject timer interrupts (which on
-        a stock kernel reset thread priorities to MEDIUM).
-
-        ``observer=True`` declares that the hook perturbs the machine
-        -- if at all -- only through the priority interface or the
-        prefetch knobs (both of which the steady-replay telescoper
-        already watches): PMU samplers and governors qualify, as do
-        kernel timer ticks whose sole effect is a priority reset.  The
-        telescoper may then jump across the hook's firings while they
-        observe without acting; a hook left at the default
-        ``observer=False`` bumps :attr:`_hook_mut_gen` every firing,
-        voiding any verified steady regime (see
-        :mod:`repro.core.steadyreplay`).
+        a stock kernel reset thread priorities to MEDIUM), by PMU
+        samplers and by governors.
         """
         if period < 1:
             raise ValueError("hook period must be >= 1")
         fire = self._cycle + period
-        self._hooks.append([period, fire, hook, observer])
+        self._hooks.append([period, fire, hook])
         if self._next_hook < 0 or fire < self._next_hook:
             self._next_hook = fire
 
@@ -312,40 +235,17 @@ class SMTCore:
         gct_floor = cfg.gct_groups - 2
 
         prio_p, prio_s = self.priorities
-        # Fast-forward needs every in-loop callback site to be
-        # predictable; a repetition gate is an arbitrary callable
-        # evaluated per cycle, so gated runs use the reference loop.
-        fast = (cfg.fast_forward and self._rep_gate is None
-                and not self._ff_giveup)
         decode_slot = self._decode_slot
-        gct_groups = cfg.gct_groups
         bal_on = bal_enabled and t0 is not None and t1 is not None
 
         # NORMAL-mode slot ownership is a modulo test; inline it and
         # refresh the locals whenever the arbiter is rebuilt.
-        (arb_norm, arb_ratio, arb_high, arb_low,
-         dense_a, dense_b, dec_width) = self._arb_locals()
+        arb_norm, arb_ratio, arb_high, arb_low, dec_width = (
+            self._arb_locals())
 
         now = self._cycle
         end = now + cycles
         next_gc = now + 1024
-        # Planner back-off: after an unproductive fast-forward attempt
-        # (dense-thread suppression, or a planner call that found the
-        # very next cycle eventful) the machine is in a phase where no
-        # skippable span exists, and re-evaluating the gate every
-        # no-dispatch cycle costs more than the per-cycle body itself.
-        # Veto planning for a few cycles instead; suppression is always
-        # safe because the per-cycle body *is* the reference behaviour,
-        # and a successful skip keeps the veto at zero so skip-rich
-        # phases (DRAM-bound spans) are planned at full rate.  The veto
-        # window doubles after each unproductive attempt (up to
-        # _PLAN_VETO_MAX) so dense-dispatch SMT phases, which never
-        # skip, pay for the planner at most once per 256 cycles, and a
-        # run that stays unproductive even at the ceiling gives up on
-        # fast-forward entirely (_PLAN_VETO_GIVEUP).
-        plan_veto = 0
-        veto_len = _PLAN_VETO_CYCLES
-        giveup_left = _PLAN_VETO_GIVEUP
         while now < end:
             if now >= next_gc:
                 self.fus.collect(now)
@@ -357,7 +257,6 @@ class SMTCore:
             # empty instruction buffer.  A slot whose owner is merely
             # blocked (GCT full, balancer, redirect) is wasted -- that
             # strictness is what starves low-priority threads.
-            dispatched = False
             if arb_norm:
                 owner = arb_high if now % arb_ratio else arb_low
             else:
@@ -374,15 +273,15 @@ class SMTCore:
                         th = None
                 if th is not None:
                     th.owned_slots += 1
-                    dispatched = decode_slot(th, owner, now, dec_width)
+                    decode_slot(th, owner, now, dec_width)
             if arbiter is not self._arbiter:
                 # A priority nop (or an in-loop callback) changed the
                 # slot allocation.
                 arbiter = self._arbiter
                 owner_of = arbiter.owner
                 prio_p, prio_s = self.priorities
-                (arb_norm, arb_ratio, arb_high, arb_low,
-                 dense_a, dense_b, dec_width) = self._arb_locals()
+                arb_norm, arb_ratio, arb_high, arb_low, dec_width = (
+                    self._arb_locals())
 
             # -- retire (in order, one group per thread per cycle) -----
             # Unrolled over the two threads: this runs every cycle and
@@ -477,66 +376,15 @@ class SMTCore:
                     if now >= h[1]:
                         h[1] += h[0]
                         h[2](self, now)
-                        if not h[3]:
-                            self._hook_mut_gen += 1
                 self._next_hook = min(h[1] for h in self._hooks)
                 if arbiter is not self._arbiter:
                     arbiter = self._arbiter
                     owner_of = arbiter.owner
                     prio_p, prio_s = self.priorities
-                    (arb_norm, arb_ratio, arb_high, arb_low,
-                     dense_a, dense_b, dec_width) = self._arb_locals()
+                    arb_norm, arb_ratio, arb_high, arb_low, dec_width = (
+                        self._arb_locals())
 
             now += 1
-
-            # -- fast-forward over provably-uneventful cycles ----------
-            if fast and not dispatched and now < end:
-                if plan_veto:
-                    plan_veto -= 1
-                # Cheap gate before the exact planner: when a thread
-                # whose slots are *dense* (next owned slot at most a
-                # few cycles away) is ready to decode, any skip would
-                # be shorter than the planning cost.
-                elif (self._gct_used < gct_groups
-                        and ((dense_a is not None and not dense_a.finished
-                              and dense_a.stall_until <= now
-                              and not dense_a.balancer_stalled
-                              and not dense_a.throttled)
-                             or (dense_b is not None
-                                 and not dense_b.finished
-                                 and dense_b.stall_until <= now
-                                 and not dense_b.balancer_stalled
-                                 and not dense_b.throttled))):
-                    plan_veto = veto_len
-                    if veto_len < _PLAN_VETO_MAX:
-                        veto_len *= 2
-                    elif giveup_left:
-                        giveup_left -= 1
-                        if not giveup_left:
-                            fast = False
-                            self._ff_giveup = True
-                else:
-                    target = self._skip_target(now, end, prio_p, prio_s)
-                    if target >= now + _PLAN_VETO_SHORT:
-                        self._account_skip(now, target)
-                        now = target
-                        veto_len = _PLAN_VETO_CYCLES
-                        giveup_left = _PLAN_VETO_GIVEUP
-                    else:
-                        # A short skip is still taken (it is exact and
-                        # already computed) but counts as unproductive:
-                        # it saved less than the consult cost.
-                        if target > now:
-                            self._account_skip(now, target)
-                            now = target
-                        plan_veto = veto_len
-                        if veto_len < _PLAN_VETO_MAX:
-                            veto_len *= 2
-                        elif giveup_left:
-                            giveup_left -= 1
-                            if not giveup_left:
-                                fast = False
-                                self._ff_giveup = True
 
         self._cycle = now
         return cycles
@@ -550,188 +398,12 @@ class SMTCore:
         arb = self._arbiter
         mode = arb.mode
         high = arb._high
-        dense_a, dense_b = self._dense_threads()
         if mode is ArbiterMode.LOW_POWER or mode is ArbiterMode.LOW_POWER_ST:
             width = 1
         else:
             width = self.config.decode_width
         return (mode is ArbiterMode.NORMAL, arb._ratio, high, 1 - high,
-                dense_a, dense_b, width)
-
-    def _dense_threads(self):
-        """Threads whose effective slot pattern has only tiny gaps.
-
-        Used by the fast-forward gate in :meth:`step`: when such a
-        thread is ready to decode, the next eventful cycle is at most a
-        couple of cycles away and planning a skip cannot pay for
-        itself.  Conservative by construction -- omitting a thread only
-        costs planner invocations, never correctness.
-        """
-        arb = self._arbiter
-        threads = self._threads
-        mode = arb.mode
-        if mode is ArbiterMode.NORMAL:
-            hi = threads[arb._high]
-            if arb._ratio <= 4:
-                return hi, threads[1 - arb._high]
-            return hi, None
-        if mode is ArbiterMode.SINGLE_THREAD:
-            return threads[arb._st_owner], None
-        return None, None
-
-    def _skip_target(self, a: int, end: int,
-                     prio_p: int, prio_s: int) -> int:
-        """End of the uneventful span starting at cycle ``a``.
-
-        Returns the earliest cycle in ``[a, end]`` at which anything
-        observable might happen -- a decode by a ready thread, a group
-        retirement, a stall expiry, a balancer flush or monitoring
-        window, or a periodic hook.  Returning ``a`` means the span is
-        empty and the per-cycle loop must run.  Every cycle strictly
-        before the returned target provably only increments slot and
-        stall counters (applied by :meth:`_account_skip`).
-        """
-        b = end
-        nh = self._next_hook
-        if nh >= 0:
-            if nh <= a:
-                return a
-            if nh < b:
-                b = nh
-        threads = self._threads
-        t0, t1 = threads[0], threads[1]
-        bal = self.balancer
-        bal_cfg = bal.config
-        bal_active = (bal_cfg.enabled
-                      and t0 is not None and t1 is not None)
-        if bal_active:
-            nw = bal.next_window
-            if nw <= a:
-                return a
-            if nw < b:
-                b = nw
-        cfg = self.config
-        gct_full = self._gct_used >= cfg.gct_groups
-        flush_en = bal_active and bal_cfg.flush_enabled
-        alive = (t0 is not None and not t0.finished,
-                 t1 is not None and not t1.finished)
-        arb = self._arbiter
-        for tid, th in ((0, t0), (1, t1)):
-            if th is None:
-                continue
-            inflight = th.inflight
-            if inflight:
-                head = inflight[0][0]
-                if head <= a:
-                    return a
-                if head < b:
-                    b = head
-            su = th.stall_until
-            if su > a:
-                # The stall expiry re-enables decode and arms the
-                # balancer flush condition; end the span there.
-                if su < b:
-                    b = su
-            elif flush_en and inflight:
-                # stall_until has passed: a balancer flush could fire
-                # at ``a`` itself (its horizon term only weakens as
-                # time advances, so checking ``a`` covers the span).
-                mine = prio_p if tid == 0 else prio_s
-                theirs = prio_s if tid == 0 else prio_p
-                other = threads[1 - tid]
-                if (mine <= theirs and not other.finished
-                        and self._gct_used >= cfg.gct_groups - 2
-                        and bal.should_flush(th.gct_held,
-                                             inflight[0][0], a)):
-                    return a
-            if not alive[tid]:
-                continue
-            if th.pos >= len(th.trace):
-                return a  # defensive path of _decode_slot; never skip
-            if su > a or th.balancer_stalled:
-                continue  # cannot decode anywhere in the span
-            if th.throttled:
-                if gct_full:
-                    continue  # throttle-eligible slots lose to the GCT
-                interval = bal_cfg.throttle_interval
-                need = -th.owned_slots % interval
-                c = arb.nth_owned(tid, a, need if need else interval,
-                                  alive)
-            elif gct_full:
-                continue  # every owned slot is lost to the full GCT
-            else:
-                c = arb.nth_owned(tid, a, 1, alive)
-            if c is not None:
-                if c <= a:
-                    return a
-                if c < b:
-                    b = c
-        return b
-
-    def _account_skip(self, a: int, b: int) -> None:
-        """Apply the per-cycle counter effects of skipping ``[a, b)``.
-
-        The planner guarantees no decode, retirement, flush, window
-        update or hook fires in the span, so the only observable
-        effects are the slot-ownership counters (owned / wasted /
-        lost-to-GCT, in the same precedence as ``_decode_slot``) and
-        the balancer's stalled-cycle statistics.  The per-cause PMU
-        buckets are attributed in closed form too: the planner caps
-        every span at ``stall_until``, the next retirement and the
-        next balancer window, so a thread's blocking cause
-        (stall / balancer-stall / throttle / GCT-full) is constant
-        across the whole span and one bucket absorbs all its slots.
-        """
-        threads = self._threads
-        t0, t1 = threads[0], threads[1]
-        alive = (t0 is not None and not t0.finished,
-                 t1 is not None and not t1.finished)
-        arb = self._arbiter
-        cfg = self.config
-        gct_full = self._gct_used >= cfg.gct_groups
-        interval = cfg.balancer.throttle_interval
-        for tid, th in ((0, t0), (1, t1)):
-            if not alive[tid]:
-                continue
-            owned = arb.owned_in(tid, a, b, alive)
-            if not owned:
-                continue
-            th.owned_slots += owned
-            if th.stall_until > a:
-                th.wasted_slots += owned
-                th.slots_lost_stall += owned
-            elif th.balancer_stalled:
-                th.wasted_slots += owned
-                th.slots_lost_balancer += owned
-            elif th.throttled:
-                if gct_full:
-                    # Non-eligible slots waste on the throttle;
-                    # throttle-eligible ones fall through to the GCT
-                    # check and are lost there instead.
-                    before = th.owned_slots - owned
-                    eligible = ((before + owned) // interval
-                                - before // interval)
-                    th.slots_lost_gct += eligible
-                    th.wasted_slots += owned - eligible
-                    th.slots_lost_throttle += owned - eligible
-                else:
-                    # The planner capped the span before the first
-                    # throttle-eligible slot.
-                    th.wasted_slots += owned
-                    th.slots_lost_throttle += owned
-            else:
-                # A ready thread owns no slots in the span (the
-                # planner capped it), so only the GCT case remains.
-                th.slots_lost_gct += owned
-        bal = self.balancer
-        bal_cfg = bal.config
-        if (bal_cfg.enabled and bal_cfg.stall_enabled
-                and t0 is not None and t1 is not None):
-            span = b - a
-            if t0.balancer_stalled and not t1.finished:
-                bal.stats.stall_cycles[0] += span
-            if t1.balancer_stalled and not t0.finished:
-                bal.stats.stall_cycles[1] += span
+                width)
 
     def _gate_open(self, th: HardwareThread, tid: int, now: int) -> bool:
         """Re-evaluate a gated thread's repetition gate."""
@@ -742,31 +414,30 @@ class SMTCore:
         return False
 
     def _decode_slot(self, th: HardwareThread, tid: int, now: int,
-                     width: int = 0) -> bool:
+                     width: int = 0) -> None:
         """Attempt to decode one group for the slot owner ``th``.
 
         ``width`` is the group width under the current arbiter mode
-        (precomputed by the caller; 0 means derive it here).  Returns
-        True when a group was dispatched (the cycle was *eventful*);
-        False when the slot was wasted or lost.
+        (precomputed by the caller; 0 means derive it here).  A slot
+        the owner cannot use is counted as wasted or lost.
         """
         if th.stall_until > now:
             th.wasted_slots += 1
             th.slots_lost_stall += 1
-            return False
+            return
         if th.balancer_stalled:
             th.wasted_slots += 1
             th.slots_lost_balancer += 1
-            return False
+            return
         (break_long, branch_ends, d2i, fx_lat, mul_lat, fp_lat,
          br_lat, misp_pen, gct_groups, thr_interval) = self._dec_consts
         if th.throttled and th.owned_slots % thr_interval:
             th.wasted_slots += 1
             th.slots_lost_throttle += 1
-            return False
+            return
         if self._gct_used >= gct_groups:
             th.slots_lost_gct += 1
-            return False
+            return
 
         trace = th.trace
         pos = th.pos
@@ -774,10 +445,10 @@ class SMTCore:
         if pos >= n:  # defensive: advance_repetition keeps pos < n
             th.wasted_slots += 1
             th.slots_lost_other += 1
-            return False
+            return
 
         if not width:
-            width = self._arb_locals()[6]
+            width = self._arb_locals()[4]
 
         reg_ready = th.reg_ready
         # Functional-unit issue is inlined below (UnitPool.issue with
@@ -911,7 +582,7 @@ class SMTCore:
             # empty group -- cannot happen, but never dispatch nothing.
             th.wasted_slots += 1
             th.slots_lost_other += 1
-            return False
+            return
 
         if op_wait:
             th.operand_wait_cycles += op_wait
@@ -930,7 +601,6 @@ class SMTCore:
             th.advance_repetition()
             if self._rep_gate is not None:
                 th.gated = True
-        return True
 
     def _flush(self, th: HardwareThread, now: int) -> None:
         """Balancer flush: squash the thread's youngest groups.

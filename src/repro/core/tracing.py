@@ -6,17 +6,10 @@ completed.  Useful for debugging workload schedules and for the
 examples' timeline rendering.  Tracing is off by default and costs
 nothing when detached.
 
-Interaction with the event-driven fast-forward engine: tracing is
-**exact** under fast-forwarding, by construction rather than by
-gating.  Events are recorded at decode time, and the skip planner
-(:meth:`repro.core.SMTCore._skip_target`) ends every span at the next
-cycle a ready thread could decode -- a skipped span never contains a
-decode.  Both engines therefore execute the identical sequence of
-decode cycles with identical machine state, and the recorded
-(decode, issue, complete) triples are bit-identical between
-``fast_forward=True`` and the per-cycle reference engine.  The
-test-suite asserts this equivalence over microbenchmark pairs and
-priority differences (see ``tests/test_tracing_fast_forward.py``).
+Events are recorded at decode time by the object engine's decode
+loop.  A traced array-engine core runs that loop too (the compiled
+kernels record nothing), so a trace is the same whichever engine the
+core was built with, and attaching a tracer never changes timing.
 
 ::
 

@@ -54,8 +54,7 @@ class FameRunner:
                  maiv: float = 0.01,
                  max_cycles: int = 20_000_000,
                  chunk: int = 8192,
-                 warmup: int = 1,
-                 fame_fast_forward: bool | None = None):
+                 warmup: int = 1):
         """Create a runner.
 
         ``min_repetitions`` is the floor the paper sets at 10 for real
@@ -65,13 +64,6 @@ class FameRunner:
         from the reported metrics.  ``max_cycles`` bounds pathological
         runs (a thread starved at priority difference -5 may take
         millions of cycles per repetition).
-
-        ``fame_fast_forward`` controls steady-state repetition
-        telescoping (:mod:`repro.fame.steady`) for eligible
-        single-thread measurements; ``None`` (the default) follows the
-        engine flag ``config.fast_forward``, so ``--reference`` runs
-        replay every repetition.  Pass ``False`` for the exact-replay
-        reference mode the differential tests compare against.
         """
         if min_repetitions < 1:
             raise ValueError("min_repetitions must be >= 1")
@@ -86,9 +78,8 @@ class FameRunner:
         self.max_cycles = max_cycles
         self.chunk = chunk
         self.warmup = warmup
-        self.fame_fast_forward = fame_fast_forward
-        #: True when the most recent run's result was synthesized by
-        #: the steady-state fast-forward instead of fully replayed.
+        # Always False: every run replays every repetition.  Kept
+        # because the benchmark's layer ledger reads it after each run.
         self.last_steady_state = False
 
     def run_pair(self, primary: TraceSource,
@@ -112,19 +103,6 @@ class FameRunner:
         and the governor retunes it per epoch; its decision log rides
         on the PMU report when both are given.
         """
-        self.last_steady_state = False
-        # Steady-state telescoping is restricted to plain single-thread
-        # measurements: no sibling thread, no caller-installed hooks
-        # (a pre-built core may carry them), no PMU/governor (both
-        # observe per-cycle state) and no repetition gate.
-        ff = self.fame_fast_forward
-        if ff is None:
-            ff = self.config.fast_forward
-        steady = None
-        if (ff and secondary is None and core is None and pmu is None
-                and governor is None and rep_gate is None):
-            from repro.fame.steady import SteadyStateFastForward
-            steady = SteadyStateFastForward(self)
         core = core or make_core(self.config)
         core.load([primary, secondary], priorities, privileges, rep_gate)
         if pmu is not None:
@@ -143,11 +121,6 @@ class FameRunner:
                 core.step(self.chunk)
                 if self._all_converged(core, active):
                     break
-                if steady is not None and not steady.disabled:
-                    early = steady.attempt(core)
-                    if early is not None:
-                        self.last_steady_state = steady.engaged
-                        return early
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -155,13 +128,7 @@ class FameRunner:
 
     def _finish(self, core: SMTCore, active: list[int],
                 pmu=None, governor=None) -> FameResult:
-        """Package the core's state as the measurement result.
-
-        Shared by the replay loop's natural exit and the steady-state
-        fast-forward when it hits genuine convergence mid-verification
-        -- both must produce byte-identical results for the same core
-        state.
-        """
+        """Package the core's state as the measurement result."""
         capped = core.cycle >= self.max_cycles
         result = core.result(warmup=self.warmup)
         converged = tuple(

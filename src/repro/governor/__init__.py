@@ -22,11 +22,10 @@ events.
   transparent, pipeline, energy-budget, prefetch-adapt).
 
 Determinism: the epoch hook rides the existing periodic-hook
-machinery, which both simulation engines honour exactly (the
-fast-forward planner never skips a pending hook), and every policy is
-a pure function of its observations, so a governed run is bit-identical
-between the per-cycle and fast-forward engines and across worker
-processes.  The differential test-suite asserts this.
+machinery, which both simulation engines fire at the exact cycle, and
+every policy is a pure function of its observations, so a governed run
+is bit-identical between the object and array engines and across
+worker processes.  The differential test-suite asserts this.
 """
 
 from repro.governor.config import GovernorConfig

@@ -2,7 +2,7 @@
 
 from repro.memory.cache import CacheStats, SetAssociativeCache
 from repro.memory.dram import DRAM
-from repro.memory.hierarchy import LoadResult, MemLevel, MemoryHierarchy
+from repro.memory.hierarchy import MemLevel, MemoryHierarchy
 from repro.memory.lmq import LoadMissQueue
 from repro.memory.tlb import TLB
 
@@ -14,5 +14,4 @@ __all__ = [
     "LoadMissQueue",
     "MemoryHierarchy",
     "MemLevel",
-    "LoadResult",
 ]

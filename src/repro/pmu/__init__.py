@@ -4,8 +4,7 @@ The observability subsystem of the simulator:
 
 - :mod:`repro.pmu.events` -- the named-event registry (``PM_*``).
 - :class:`CounterBank` -- exact per-thread snapshot of every event,
-  bit-identical between the per-cycle reference engine and the
-  event-driven fast-forward engine.
+  bit-identical between the object and array engines.
 - :class:`CpiStack` -- exact decode-slot decomposition of each
   thread's cycles/CPI (components sum to total cycles).
 - :class:`IntervalSampler` / :class:`Sample` -- periodic time series

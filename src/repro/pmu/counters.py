@@ -8,12 +8,11 @@ counting), so capturing is a read-only walk over existing state, and
 the hot simulation loop pays nothing for the PMU beyond those raw
 increments.
 
-Exactness: every captured value is either updated only at decode time
-(identical in both engines by construction -- the fast-forward planner
-never skips a decode) or mirrored in closed form by the skip
-accounting (slot and balancer-stall counters).  The differential
-test-suite asserts bank equality across the full microbenchmark x
-priority-difference matrix.
+Exactness: both engines step every cycle and update every captured
+value at the same point of the cycle, so banks are identical across
+engines by construction.  The differential test-suite asserts bank
+equality across the full microbenchmark x priority-difference
+matrix.
 """
 
 from __future__ import annotations

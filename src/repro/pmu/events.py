@@ -5,8 +5,7 @@ POWER5-flavoured ``PM_*`` name.  The registry is the single source of
 truth for event identity: :class:`repro.pmu.counters.CounterBank`
 captures exactly these events, the CLI prints them in this order, and
 the differential test-suite asserts their values are bit-identical
-between the per-cycle reference engine and the event-driven
-fast-forward engine.
+between the object and array engines.
 
 Events are grouped the way the paper reasons about the machine:
 decode-slot accounting (the substrate of Eq. 1 and the CPI stack),

@@ -5,12 +5,11 @@ An :class:`IntervalSampler` registers a periodic hook on the core
 cycles, records the delta of a small set of counters per thread --
 IPC, decode-slot share, and L2-miss behaviour over the interval.
 
-The hook machinery is already exact under the fast-forward engine
-(the skip planner never jumps over a pending hook), and the hook body
-only *reads* counters, so sampling is non-intrusive: a sampled run
-retires the same instructions in the same cycles as an unsampled one,
-and the sample series is bit-identical between the reference and
-fast-forward engines.  Both properties are asserted by the test-suite.
+Both engines fire hooks at their exact cycle, and the hook body only
+*reads* counters, so sampling is non-intrusive: a sampled run retires
+the same instructions in the same cycles as an unsampled one, and the
+sample series is bit-identical between the object and array engines.
+Both properties are asserted by the test-suite.
 """
 
 from __future__ import annotations
@@ -61,10 +60,7 @@ class IntervalSampler:
         """
         self._last = {tid: self._read(core, tid) for tid in (0, 1)
                       if core._threads[tid] is not None}
-        # Pure observer: sampling reads counters and writes only its
-        # own sample list, so the steady-replay telescoper may jump
-        # between (never across) sample boundaries.
-        core.add_periodic_hook(self.period, self._on_tick, observer=True)
+        core.add_periodic_hook(self.period, self._on_tick)
 
     @staticmethod
     def _read(core, tid: int) -> tuple[int, int, int, int, int]:

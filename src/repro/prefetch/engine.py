@@ -14,13 +14,11 @@ sibling thread, which is exactly the priority-interaction axis the
 ``prefetch`` experiment characterizes.
 
 The engine is strictly *load-triggered*: it only runs inside
-``MemoryHierarchy.load``/``load_complete`` calls, never on its own
-cycle.  Both simulation engines (the object decode loop and the
-compiled array kernels) funnel every load through those two methods,
-so prefetch behaviour -- timing and all five ``PM_PREF_*`` counters --
-is bit-identical across engines by construction, and the fast-forward
-skip planner needs no new accounting (nothing prefetch-related ever
-happens in a skipped cycle).
+``MemoryHierarchy.load`` calls, never on its own cycle.  Both
+simulation engines (the object decode loop and the compiled array
+kernels) funnel every load through that method, so prefetch
+behaviour -- timing and all five ``PM_PREF_*`` counters -- is
+bit-identical across engines by construction.
 
 In-flight fills live in a per-thread ``{line: ready_cycle}`` map
 rather than being installed into the L2 tags at issue time: a demand
@@ -35,8 +33,6 @@ already sits in the L2/L3 -- the useless/late split is the signal the
 Run-time control mirrors the priority interface: the patched kernel
 registers ``/sys/kernel/smt_prefetch/thread<T>/{enable,depth,degree}``
 files that call :meth:`set_enable`/:meth:`set_depth`/:meth:`set_degree`.
-Every knob write bumps ``knob_gen`` so the steady-replay telescoper
-can void a verified regime whose behaviour the write may have changed.
 """
 
 from __future__ import annotations
@@ -74,8 +70,7 @@ class PrefetchStats:
 class StreamPrefetcher:
     """Software-controlled stream/stride prefetcher of one core."""
 
-    __slots__ = ("config", "stats", "on", "depth", "degree", "knob_gen",
-                 "_streams", "_inflight", "_prev", "_matches",
+    __slots__ = ("config", "stats", "on", "depth", "degree", "_streams", "_inflight", "_prev", "_matches",
                  "_nstreams", "_line_bytes", "_mem_duration")
 
     def __init__(self, config: PrefetchConfig, line_bytes: int,
@@ -92,8 +87,6 @@ class StreamPrefetcher:
         self.on = [False, False]
         self.depth = [config.depth, config.depth]
         self.degree = [config.degree, config.degree]
-        # Generation counter of knob writes (telescoper regime guard).
-        self.knob_gen = 0
         self.reset()
 
     def reset(self) -> None:
@@ -107,7 +100,6 @@ class StreamPrefetcher:
         self._inflight: list[dict[int, int]] = [{}, {}]
         self._prev = [-1, -1]
         self.stats.reset()
-        self.knob_gen += 1
 
     # -- run-time control (the smt_prefetch sysfs files) ---------------
 
@@ -129,16 +121,13 @@ class StreamPrefetcher:
             if dropped:
                 self.stats.useless[thread_id] += dropped
                 self._inflight[thread_id] = {}
-        self.knob_gen += 1
 
     def set_depth(self, thread_id: int, depth: int) -> None:
         """Retune one thread's stream lookahead (1..MAX_DEPTH lines)."""
         if not 1 <= depth <= MAX_DEPTH:
             raise ValueError(
                 f"prefetch depth must be in 1..{MAX_DEPTH}, got {depth}")
-        if depth != self.depth[thread_id]:
-            self.depth[thread_id] = depth
-            self.knob_gen += 1
+        self.depth[thread_id] = depth
 
     def set_degree(self, thread_id: int, degree: int) -> None:
         """Retune one thread's fills-per-trigger (1..MAX_DEGREE)."""
@@ -146,9 +135,7 @@ class StreamPrefetcher:
             raise ValueError(
                 f"prefetch degree must be in 1..{MAX_DEGREE}, "
                 f"got {degree}")
-        if degree != self.degree[thread_id]:
-            self.degree[thread_id] = degree
-            self.knob_gen += 1
+        self.degree[thread_id] = degree
 
     # -- the demand-side hooks (called by MemoryHierarchy) -------------
 
@@ -191,8 +178,7 @@ class StreamPrefetcher:
                 # The stream predicted this miss: advance and run.
                 # The confidence count saturates at the confirmation
                 # threshold -- only the >= comparison below ever reads
-                # it, and a bounded count keeps a steady-state stream
-                # table exactly periodic (telescoper signature).
+                # it.
                 entry[0] = line
                 if entry[2] < self._matches:
                     entry[2] += 1
@@ -212,10 +198,7 @@ class StreamPrefetcher:
         else:
             # Replace the least-established stream (lowest confidence
             # count; first such slot on ties).  Victim choice is a
-            # pure function of table content -- a rotating round-robin
-            # pointer would add a hidden mod-N phase that multiplies
-            # the machine's steady-state period by N and defeats the
-            # telescoper's signature match.
+            # pure function of table content.
             victim = min(range(self._nstreams),
                          key=lambda i: streams[i][2])
             streams[victim] = entry

@@ -50,7 +50,9 @@ from repro.prefetch.config import PrefetchConfig
 #: energy_budget cells' context.
 #: v3: configs carry the prefetch knob block -- a v2 peer would
 #: silently simulate prefetch-enabled specs with the prefetcher off.
-PROTOCOL_VERSION = 3
+#: v4: configs lost the object engine's skip switch -- a v3 spec would
+#: be rejected as malformed instead of refused by version.
+PROTOCOL_VERSION = 4
 
 #: Context parameters that ride in a spec, in addition to the machine
 #: configuration.  Everything :meth:`ExperimentContext._simcache_key`
@@ -109,9 +111,10 @@ def decode_cell(obj) -> tuple:
 def context_spec(ctx) -> dict:
     """The wire spec of an :class:`ExperimentContext`.
 
-    Engine switches (``fast_forward``, ``engine``) ride along inside
-    the config: they are part of the simcache key (flipping engines
-    must miss), so the server must key under the client's choice.
+    The engine switch (``engine``) rides along inside the config, so
+    the server simulates with the client's engine.  It is not part of
+    the simcache key: both engines are bit-identical and share
+    entries.
     """
     spec = {name: getattr(ctx, name) for name in SPEC_FIELDS}
     spec["config"] = dataclasses.asdict(ctx.config)

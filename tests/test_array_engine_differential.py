@@ -8,12 +8,11 @@ repetition time/retired series (hence the CPI stack and every figure),
 the PMU counter bank and interval samples, and the byte representation
 of whole sweeps whether computed serially or by worker processes.
 
-A long uninstrumented run additionally pins the steady-state replay
-telescoper (:mod:`repro.core.steadyreplay`): a telescoped run's final
-machine state matches the object engine's dense state exactly, and a
-single large ``step`` call matches the same run chopped into
-runner-sized chunks (jumps may land anywhere relative to caller
-boundaries).
+A long uninstrumented run additionally pins the complete machine
+state: the array engine's final state matches the object engine's
+exactly, and a single large ``step`` call matches the same run chopped
+into runner-sized chunks (the array engine keeps hot state in locals
+and must sync it out at every ``step`` boundary).
 """
 
 from __future__ import annotations
@@ -89,8 +88,8 @@ def test_fame_results_identical_across_engines(configs, bench, priorities):
 
 
 #: Instrumented subset: the paper's six evaluated benchmarks, favoured
-#: and inverted priorities.  PMU runs never telescope or fast-forward,
-#: so this pins the dense kernel path sample-by-sample.
+#: and inverted priorities: pins the dense kernel path
+#: sample-by-sample.
 PMU_MATRIX = [(b, p) for b in ("cpu_int", "cpu_fp", "ldint_l1",
                                "ldint_l2", "ldint_mem", "lng_chain_cpuint")
               for p in ((4, 4), (6, 1))]
@@ -135,8 +134,26 @@ def test_array_sweep_serial_vs_jobs2_identical():
 
 
 # ----------------------------------------------------------------------
-# Steady-state replay telescoping
+# Complete machine state after long runs
 # ----------------------------------------------------------------------
+
+def _recency_sig(sets):
+    """Canonical (tags, recency order) form of one cache/TLB level.
+
+    Lookups compare stamps only within a set, so two states behave
+    identically iff each set holds the same tags in the same dict
+    order with the same stamp ranking.
+    """
+    out = []
+    for s in sets:
+        if s:
+            vals = list(s.values())
+            out.append((tuple(s), tuple(sorted(range(len(vals)),
+                                               key=vals.__getitem__))))
+        else:
+            out.append(())
+    return tuple(out)
+
 
 def _machine_state(core):
     """Everything observable about post-run machine state.
@@ -150,7 +167,6 @@ def _machine_state(core):
     the state).  The object engine's scoreboard lacks the array
     engine's two sentinel slots, hence the ``NUM_REGS`` slice.
     """
-    from repro.core.steadyreplay import _recency_sig
     from repro.isa.registers import NUM_REGS
 
     now = core._cycle
@@ -218,7 +234,7 @@ def _loaded(config, secondary):
                          [(None, 300_000), ("ldint_l2", 400_000)],
                          ids=["st", "smt"])
 def test_telescoped_state_matches_object_engine(secondary, horizon):
-    """A telescoped run's final state is the dense state, exactly.
+    """An array run's final state is the object engine's, exactly.
 
     Counters and repetition series must match bit-for-bit; time-stamped
     records (scoreboard, reservations, queue intervals) may differ only
@@ -231,12 +247,6 @@ def test_telescoped_state_matches_object_engine(secondary, horizon):
     obj = _loaded(dataclasses.replace(config, engine="object"), secondary)
     obj.step(horizon)
     assert _machine_state(array) == _machine_state(obj)
-    if secondary is None:
-        # The ST regime (period 896) must actually have telescoped;
-        # without this the equality above would only compare two dense
-        # runs and the jump path would be dead code in CI.
-        assert array._steady.jumps >= 1
-        assert array._steady.jumped_cycles > horizon // 2
 
 
 def test_telescoping_invariant_to_step_chunking():
@@ -251,16 +261,3 @@ def test_telescoping_invariant_to_step_chunking():
         chunked.step(n)
         stepped += n
     assert _machine_state(one) == _machine_state(chunked)
-    assert chunked._steady.jumps >= 1
-
-
-def test_steady_replay_toggle_is_behaviour_invariant():
-    """steady_replay=False forces dense stepping with equal results."""
-    config = CoreConfig()
-    fast = _loaded(config, None)
-    fast.step(120_000)
-    dense = _loaded(config, None)
-    dense.steady_replay = False
-    dense.step(120_000)
-    assert dense._steady.jumps == 0
-    assert _machine_state(fast) == _machine_state(dense)

@@ -1,15 +1,12 @@
-"""Horizon-bounded array stepping: the bit-identity matrix.
+"""Hooked and chip-attached array runs: the bit-identity matrix.
 
-The steady-replay telescoper may now jump through runs that carry
-periodic hooks (interval samplers, governor epochs, kernel timers) and
-runs attached to a chip port.  Every observable of such a run --
-retired counts, repetition logs, PMU sample series, governor decision
-logs, chip schedule results -- must be bit-identical across:
-
-- the array engine with telescoping (jumps clamp at hook horizons),
-- the array engine with telescoping disabled (the dense fallback
-  hooked runs used before horizon-bounded stepping), and
-- the object engine (the per-cycle reference).
+The array engine's dense loop keeps hot thread state in locals and
+syncs it out before every periodic hook (interval samplers, governor
+epochs, kernel timers) and around chip-port grants.  Every observable
+of such a run -- retired counts, repetition logs, PMU sample series,
+governor decision logs, chip schedule results -- must be
+bit-identical between the array engine and the object engine (the
+per-cycle reference).
 
 The experiment-level test at the bottom closes the loop at the
 orchestration layer: the ``governor`` experiment must render the same
@@ -38,20 +35,17 @@ from repro.sched import Job, OsScheduler, make_allocation_policy
 
 SECONDARY_BASE = (1 << 27) + 8192
 
-#: Below the cpu_int+cpu_int machine-state period (28k+ cycles), so a
-#: telescoped governed run really jumps between epochs.
+#: Governor epoch: a governed 400k-cycle run crosses a dozen epochs.
 EPOCH = 32_768
 
-#: (engine, telescope) arms of the matrix.  ``telescope`` only means
-#: anything on the array engine; the object engine has no telescoper.
-ARMS = (("array", True), ("array", False), ("object", False))
+ENGINES = ("array", "object")
 
 
 def _cfg(engine):
     return dataclasses.replace(POWER5.small(), engine=engine)
 
 
-def _loaded_core(engine, names, priorities=(4, 4), telescope=True):
+def _loaded_core(engine, names, priorities=(4, 4)):
     config = _cfg(engine)
     core = make_core(config)
     sources = [make_microbenchmark(names[0], config)]
@@ -59,13 +53,11 @@ def _loaded_core(engine, names, priorities=(4, 4), telescope=True):
         sources.append(make_microbenchmark(names[1], config,
                                            base_address=SECONDARY_BASE))
     core.load(sources, priorities=priorities)
-    if engine == "array":
-        core.steady_replay = telescope
     return core
 
 
 def _core_sig(core):
-    """Every per-thread observable a jump could corrupt."""
+    """Every per-thread observable a stale local could corrupt."""
     sig = [core.cycle]
     for th in core._threads:
         if th is None:
@@ -82,8 +74,8 @@ def _core_sig(core):
 # -- governed runs ------------------------------------------------------
 
 
-def _governed_sig(engine, telescope, policy_cls, names):
-    core = _loaded_core(engine, names, telescope=telescope)
+def _governed_sig(engine, policy_cls, names):
+    core = _loaded_core(engine, names)
     gcfg = GovernorConfig(epoch=EPOCH)
     gov = Governor(gcfg, policy_cls(gcfg))
     gov.attach(core)
@@ -96,16 +88,16 @@ def _governed_sig(engine, telescope, policy_cls, names):
     (PrefetchAdaptPolicy, ("cpu_int", "ldint_l2")),
 ], ids=["ipc_balance", "prefetch_adapt"])
 def test_governed_run_bit_identical_across_engines(policy_cls, names):
-    """Same decisions, same machine state, hooks or not.
+    """Same decisions, same machine state on both engines.
 
-    The governor's epoch hook is an observer whose actuations void
-    regimes through the arbiter/knob generations, so a telescoped run
-    must reproduce the dense decision log exactly -- including the
-    epoch-boundary IPC readings each decision was based on.
+    The governor's actuations rebuild the arbiter and retune the
+    prefetch knobs mid-run, so the array run must reproduce the object
+    engine's decision log exactly -- including the epoch-boundary IPC
+    readings each decision was based on.
     """
-    sigs = [_governed_sig(engine, tele, policy_cls, names)
-            for engine, tele in ARMS]
-    assert sigs[0] == sigs[1] == sigs[2]
+    sigs = [_governed_sig(engine, policy_cls, names)
+            for engine in ENGINES]
+    assert sigs[0] == sigs[1]
 
 
 # -- sampled runs -------------------------------------------------------
@@ -114,15 +106,15 @@ def test_governed_run_bit_identical_across_engines(policy_cls, names):
 @pytest.mark.parametrize("names", [("cpu_int",), ("cpu_int", "ldint_l2")],
                          ids=["st", "smt"])
 def test_sampled_run_bit_identical_across_engines(names):
-    """The interval-sample series survives telescoping untouched."""
+    """The interval-sample series is the same on both engines."""
     sigs = []
-    for engine, tele in ARMS:
-        core = _loaded_core(engine, names, telescope=tele)
+    for engine in ENGINES:
+        core = _loaded_core(engine, names)
         sampler = IntervalSampler(8192)
         sampler.attach(core)
         core.step(300_000)
         sigs.append((_core_sig(core), repr(sampler.samples)))
-    assert sigs[0] == sigs[1] == sigs[2]
+    assert sigs[0] == sigs[1]
 
 
 # -- scheduled chip runs ------------------------------------------------
@@ -132,12 +124,11 @@ def test_scheduled_chip_run_bit_identical_across_engines():
     """A 2-core scheduled run: every decision, account and counter.
 
     Scheduled cores carry the patched kernel's timer hook and a chip
-    port, the two attachments that used to force the array engine
-    dense; the large quantum gives the chip's adaptive bus-quiet
-    slicing room to engage on the array arm.
+    port, so the array engine's hook syncs and the shared-bus grants
+    both run in every chip quantum.
     """
     reprs = []
-    for engine in ("array", "object"):
+    for engine in ENGINES:
         chip = Chip(ChipConfig(n_cores=2, core=_cfg(engine)))
         sched = OsScheduler(chip, make_allocation_policy("round_robin"),
                             quantum=32_768)
@@ -156,7 +147,7 @@ def test_governor_experiment_serial_jobs_backend_identical(tmp_path):
     Serial, ``--jobs 2`` (worker processes) and the HTTP service
     backend must agree byte for byte under the array engine -- the
     workers and the service workers all step governed cells through
-    horizon-bounded array runs.
+    hooked array runs.
     """
     from repro.experiments import run_many
     from repro.experiments.base import ExperimentContext

@@ -40,9 +40,9 @@ class TestChipConfig:
 
     def test_fingerprint_ignores_engine(self, config):
         import dataclasses
-        ref = dataclasses.replace(config, fast_forward=False)
+        obj = dataclasses.replace(config, engine="object")
         assert (ChipConfig(core=config).fingerprint()
-                == ChipConfig(core=ref).fingerprint())
+                == ChipConfig(core=obj).fingerprint())
 
 
 # ----------------------------------------------------------------------

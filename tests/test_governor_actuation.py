@@ -6,9 +6,8 @@ writes issued inside a periodic core hook.  The contract under test:
 - the write takes effect at the next decode boundary -- the first
   decode after the hook's fire cycle uses the new arbiter, every slot
   before it the old one, exactly like an in-trace priority nop;
-- the effect is bit-identical across the per-cycle reference loop and
-  the event-driven fast-forward engine (a skip may never jump the
-  actuation);
+- the effect is bit-identical across the compiled array engine (the
+  fast path) and the per-cycle object engine (the reference);
 - every applied write is counted as a ``PM_PRIO_CHANGE`` event.
 """
 
@@ -19,7 +18,7 @@ import dataclasses
 import pytest
 
 from repro.config import POWER5
-from repro.core import SMTCore
+from repro.core import SMTCore, make_core
 from repro.microbench import make_microbenchmark
 from repro.priority import PrioritySlotArbiter
 from repro.syskernel import PatchedKernel
@@ -36,14 +35,15 @@ AFTER = (6, 1)
 
 @pytest.fixture(scope="module")
 def configs():
+    """(fast, reference): the array engine and the object engine."""
     fast = POWER5.small()
-    ref = dataclasses.replace(fast, fast_forward=False)
+    ref = dataclasses.replace(fast, engine="object")
     return fast, ref
 
 
 def _run(config, actuate, chunk=TOTAL):
     """Run a compute pair with a one-shot actuating hook at PERIOD."""
-    core = SMTCore(config)
+    core = make_core(config)
     core.load([make_microbenchmark("cpu_int", config),
                make_microbenchmark("cpu_fp", config,
                                    base_address=SECONDARY_BASE)],
@@ -70,17 +70,19 @@ def _sysfs(core, kernel):
 
 
 def _expected_owned(tid, fire_cycle, total):
-    """Closed-form slot split: old arbiter before the actuation's
-    decode boundary, new arbiter (same absolute phase) from it on."""
+    """Expected slot split: old arbiter before the actuation's decode
+    boundary, new arbiter (same absolute phase) from it on.  Both
+    threads stay alive all run, so every owned slot is the owner's."""
     old = PrioritySlotArbiter(*BEFORE)
     new = PrioritySlotArbiter(*AFTER)
-    return (old.owned_in(tid, 0, fire_cycle)
-            + new.owned_in(tid, fire_cycle, total))
+    return (sum(1 for c in range(0, fire_cycle) if old.owner(c) == tid)
+            + sum(1 for c in range(fire_cycle, total)
+                  if new.owner(c) == tid))
 
 
 @pytest.mark.parametrize("engine", ["fast", "reference"])
 def test_effective_at_next_decode_boundary(configs, engine):
-    """The slot split matches the closed form exactly, per engine."""
+    """The slot split matches the enumerated owners, per engine."""
     config = configs[0] if engine == "fast" else configs[1]
     core, fired = _run(config, _sysfs)
     assert fired[0] == PERIOD
@@ -94,7 +96,8 @@ def test_effective_at_next_decode_boundary(configs, engine):
 
 
 def test_bit_identical_across_engines(configs):
-    """Fast-forward may not skip or displace the hook's actuation."""
+    """The array engine applies the actuation on the object engine's
+    cycle, however the run is chunked."""
     fast_cfg, ref_cfg = configs
     fast_core, fast_fired = _run(fast_cfg, _sysfs)
     ref_core, ref_fired = _run(ref_cfg, _sysfs, chunk=1)

@@ -3,9 +3,9 @@
 A governor is a periodic hook plus sysfs writes, so governed runs must
 inherit both determinism guarantees of the simulator:
 
-- **engine bit-identity**: the event-driven fast-forward engine
-  produces results and decision logs byte-identical to the per-cycle
-  reference loop (the skip planner may never jump a governor epoch);
+- **engine bit-identity**: the compiled array engine produces results
+  and decision logs byte-identical to the per-cycle object engine
+  (both fire every governor epoch at its exact cycle);
 - **process bit-identity**: governed sweep cells computed by worker
   processes (``jobs > 1``) equal the serial in-process computation.
 
@@ -28,7 +28,8 @@ from repro.microbench import make_microbenchmark
 SECONDARY_BASE = (1 << 27) + 8192
 
 #: The epoch mandated for the differential matrix: short enough that
-#: fast-forward skips regularly collide with epoch boundaries.
+#: epoch boundaries land mid-group and between the array engine's
+#: bookkeeping deadlines.
 EPOCH = 200
 
 SCENARIOS = [
@@ -40,10 +41,10 @@ SCENARIOS = [
 
 @pytest.fixture(scope="module")
 def configs():
-    fast = POWER5.small()
-    ref = dataclasses.replace(fast, fast_forward=False)
-    assert fast.fast_forward and not ref.fast_forward
-    return fast, ref
+    array = POWER5.small()
+    obj = dataclasses.replace(array, engine="object")
+    assert array.engine == "array"
+    return array, obj
 
 
 def _governed_fame(config, primary, secondary, policy, params):
@@ -62,23 +63,24 @@ def _governed_fame(config, primary, secondary, policy, params):
 def test_engine_bit_identity(configs, primary, secondary, policy,
                              params):
     """Governed FAME runs are bit-identical across engines."""
-    fast_cfg, ref_cfg = configs
-    fast, fast_gov = _governed_fame(fast_cfg, primary, secondary,
-                                    policy, params)
-    ref, ref_gov = _governed_fame(ref_cfg, primary, secondary,
+    array_cfg, object_cfg = configs
+    array, array_gov = _governed_fame(array_cfg, primary, secondary,
+                                      policy, params)
+    obj, obj_gov = _governed_fame(object_cfg, primary, secondary,
                                   policy, params)
-    assert fast_gov.decision_log() == ref_gov.decision_log()
-    assert fast_gov.final_priorities == ref_gov.final_priorities
-    assert fast == ref
+    assert array_gov.decision_log() == obj_gov.decision_log()
+    assert array_gov.final_priorities == obj_gov.final_priorities
+    assert array == obj
     # The differential proves nothing if the governor never acted.
-    assert ref_gov.applied_changes > 0
+    assert obj_gov.applied_changes > 0
 
 
 def test_engine_bit_identity_pipeline(configs):
     """The governed FFT/LU pipeline agrees across engine configs.
 
-    (The pipeline's rep gate already forces the reference loop; this
-    pins that a governed gated run cannot diverge either.)
+    (The pipeline's rep gate already routes the array engine to the
+    object step loop; this pins that a governed gated run cannot
+    diverge either.)
     """
     from repro.governor import PipelinePolicy
     from repro.workloads.pipeline import SoftwarePipeline

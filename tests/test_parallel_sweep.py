@@ -4,9 +4,9 @@ The Layer-2 speedups -- worker-process sweeps and memoised trace
 construction -- must be invisible in the results: a ``jobs=N`` sweep
 has to be byte-identical to the serial one, and a cached trace must
 behave exactly like a freshly built one (and never be mutated by a
-run).  The :meth:`MemoryHierarchy.load_complete` fast path is checked
-against :meth:`load` here too, since the decode loop relies on their
-equivalence.
+run).  :meth:`MemoryHierarchy.load`, the one load path both engines
+call, is checked here too: its returned ready time must agree with
+the servicing level it counts.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.experiments.base import (
     single_cell,
 )
 from repro.fame import FameRunner
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.hierarchy import MemLevel, MemoryHierarchy
 from repro.workloads import cached_workload
 from repro.workloads.tracecache import cache_info, clear_cache
 
@@ -111,12 +111,12 @@ def test_trace_cache_misses_on_config_and_address():
 
 
 def test_trace_cache_ignores_engine_switch():
-    """fast_forward is an engine switch, not a workload parameter."""
+    """engine is a simulator switch, not a workload parameter."""
     clear_cache()
-    fast = POWER5.small()
-    ref = dataclasses.replace(fast, fast_forward=False)
-    assert cached_workload("cpu_fp", fast) is cached_workload("cpu_fp",
-                                                              ref)
+    array = POWER5.small()
+    obj = dataclasses.replace(array, engine="object")
+    assert cached_workload("cpu_fp", array) is cached_workload("cpu_fp",
+                                                               obj)
 
 
 def test_cached_trace_not_mutated_by_a_run():
@@ -134,7 +134,7 @@ def test_cached_trace_not_mutated_by_a_run():
 
 
 # ----------------------------------------------------------------------
-# load() vs load_complete() equivalence
+# load(): ready time vs servicing level
 # ----------------------------------------------------------------------
 
 
@@ -147,15 +147,33 @@ def _access_pattern():
 
 
 @pytest.mark.parametrize("thread_id", [0, 1])
-def test_load_complete_matches_load(thread_id):
-    """Timing and statistics of the two load entry points agree."""
+def test_load_ready_time_matches_servicing_level(thread_id):
+    """Each load's latency is its servicing level's, read off the
+    ``level_counts`` delta: exact for L1 hits (plus any TLB miss),
+    at least the level's latency below L1 (LMQ and bus queueing)."""
     config = POWER5.small()
-    via_load = MemoryHierarchy(config)
-    via_fast = MemoryHierarchy(config)
+    hier = MemoryHierarchy(config)
+    tlb_penalty = config.tlb.miss_penalty
+    floor = {MemLevel.L1: config.l1d.latency,
+             MemLevel.L2: config.l2.latency,
+             MemLevel.L3: config.l3.latency,
+             MemLevel.MEM: config.memory.dram_latency}
+    seen = set()
     issue = 0
     for addr in _access_pattern():
         issue += 2
-        expect = via_load.load(addr, issue, thread_id, issue).complete
-        got = via_fast.load_complete(addr, issue, thread_id, issue)
-        assert got == expect, f"divergence at addr={addr:#x}"
-    assert via_load.level_counts == via_fast.level_counts
+        before = {lvl: c[thread_id] for lvl, c in hier.level_counts.items()}
+        tlb_misses = hier.tlb.stats.misses
+        ready = hier.load(addr, issue, thread_id, issue)
+        (level,) = [lvl for lvl, c in hier.level_counts.items()
+                    if c[thread_id] != before[lvl]]
+        seen.add(level)
+        latency = ready - issue
+        if hier.tlb.stats.misses != tlb_misses:
+            latency -= tlb_penalty
+        if level is MemLevel.L1:
+            assert latency == floor[level], f"addr={addr:#x}"
+        else:
+            assert latency >= floor[level], f"addr={addr:#x}"
+    assert hier.level_counts[MemLevel.L1][1 - thread_id] == 0
+    assert {MemLevel.L1, MemLevel.MEM} <= seen

@@ -1,22 +1,18 @@
 """Differential exactness of the prefetch subsystem.
 
 The stream/stride prefetcher lives entirely inside
-``MemoryHierarchy.load``/``load_complete``, so its behaviour must be
-**bit-identical** across all three simulation engines -- the per-cycle
-reference loop (``fast_forward=False``), the fast-forward object
-engine, and the compiled array engine -- on every observable: each
-FameResult counter and repetition series, the PMU counter bank
-(including all five ``PM_PREF_*`` events) and interval samples, and
-the byte representation of whole sweeps whether computed serially, by
-worker processes, or through the HTTP service backend.
+``MemoryHierarchy.load``, so its behaviour must be **bit-identical**
+across both simulation engines -- the compiled array engine and the
+per-cycle object engine -- on every observable: each FameResult
+counter and repetition series, the PMU counter bank (including all
+five ``PM_PREF_*`` events) and interval samples, and the byte
+representation of whole sweeps whether computed serially, by worker
+processes, or through the HTTP service backend.
 
-A second battery pins the steady-state replay telescoper with the
-prefetcher live: stream tables, in-flight fills and all prefetch
-statistics must survive a telescoped jump exactly, and a single large
-``step`` call must equal the same run chopped into runner-sized
-chunks.  These tests assert ``jumps >= 1`` so the jump path cannot
-silently become dead code for prefetch-enabled runs (the regression
-that motivated the content-determined stream-victim policy).
+A second battery runs long prefetch-enabled walks: stream tables,
+in-flight fills and all prefetch statistics must match the object
+engine exactly, and a single large ``step`` call must equal the same
+run chopped into runner-sized chunks.
 """
 
 from __future__ import annotations
@@ -58,22 +54,15 @@ def _pf(config: CoreConfig) -> CoreConfig:
 
 @pytest.fixture(scope="module")
 def configs():
-    """(array, object, reference) configs, prefetch on everywhere."""
+    """(array, object) configs, prefetch on everywhere."""
     array = _pf(POWER5.small())
     obj = dataclasses.replace(array, engine="object")
-    ref = dataclasses.replace(obj, fast_forward=False)
-    assert array.engine == "array" and array.fast_forward
-    return array, obj, ref
+    assert array.engine == "array"
+    return array, obj
 
 
 def _run(config, pair, priorities, pmu=None):
-    # fame_fast_forward=False is the exact-replay reference mode: the
-    # FAME repetition shortcut synthesizes sub-repetition tail state,
-    # which only the FAME-visible fields (not full ThreadResult
-    # equality) are specified to survive -- that path gets its own
-    # test below.
-    runner = FameRunner(config, min_repetitions=2, max_cycles=200_000,
-                        fame_fast_forward=False)
+    runner = FameRunner(config, min_repetitions=2, max_cycles=200_000)
     primary, secondary = pair
     if secondary is None:
         return runner.run_single(make_microbenchmark(primary, config),
@@ -99,13 +88,11 @@ MATRIX = ([(p, prio) for p in PAIRS for prio in PRIORITIES]
          if prio else f"{p[0]}-st" for p, prio in MATRIX])
 def test_prefetch_results_identical_across_engines(configs, pair,
                                                    priorities):
-    """All three engines agree on every counter and repetition record."""
-    array_cfg, obj_cfg, ref_cfg = configs
+    """Both engines agree on every counter and repetition record."""
+    array_cfg, obj_cfg = configs
     array_fame = _run(array_cfg, pair, priorities)
     obj_fame = _run(obj_cfg, pair, priorities)
     assert array_fame == obj_fame
-    ref_fame = _run(ref_cfg, pair, priorities)
-    assert array_fame == ref_fame
     assert array_fame.result.threads[0].retired > 0
 
 
@@ -117,14 +104,13 @@ def test_prefetch_results_identical_across_engines(configs, pair,
 def test_prefetch_pmu_reports_identical_across_engines(configs, pair,
                                                        priorities):
     """PM_PREF_* banks and interval samples are bit-equal and live."""
-    array_cfg, obj_cfg, ref_cfg = configs
     reports = []
-    for config in (array_cfg, obj_cfg, ref_cfg):
+    for config in configs:
         pmu = Pmu(sample_period=1009)
         fames = _run(config, pair, priorities, pmu=pmu)
         reports.append((fames, pmu.report()))
-    (array_fame, array_report), (_, obj_report), (_, ref_report) = reports
-    assert array_report == obj_report == ref_report
+    (array_fame, array_report), (_, obj_report) = reports
+    assert array_report == obj_report
     assert array_fame.result.threads[0].retired > 0
 
     def total(event):
@@ -137,42 +123,6 @@ def test_prefetch_pmu_reports_identical_across_engines(configs, pair,
     assert total("PM_PREF_ISSUE") > 0
     assert total("PM_LD_PREF_HIT") + total("PM_PREF_LATE") > 0
     assert len(array_report.samples) > 0
-
-
-@pytest.mark.parametrize("bench,engages",
-                         [("ldint_l1", True), ("ldint_mem", False),
-                          ("ldint_l2", False)],
-                         ids=["ldint_l1", "ldint_mem", "ldint_l2"])
-def test_prefetch_fame_fast_forward_matches_replay(configs, bench,
-                                                   engages):
-    """The FAME repetition shortcut stays exact with the prefetcher on.
-
-    The steady signature now carries the prefetcher's stream tables,
-    in-flight fills and statistics, so a verified period proves the
-    prefetch phase repeats too.  ``ldint_l1`` (prefetcher trained on
-    the cold pass, idle in steady state) must still engage; the
-    memory-walking benches gain a multi-repetition prefetch phase the
-    one-repetition detector cannot verify, so they must fall back to
-    the replay path -- and match it trivially.
-    """
-    array_cfg = configs[0]
-
-    def run(fast):
-        runner = FameRunner(array_cfg, min_repetitions=10,
-                            max_cycles=4_000_000, fame_fast_forward=fast)
-        result = runner.run_single(make_microbenchmark(bench, array_cfg))
-        return runner, result
-
-    _, reference = run(False)
-    runner, fast = run(True)
-    ref_th, fast_th = reference.thread(0), fast.thread(0)
-    assert fast_th.repetitions == ref_th.repetitions
-    assert fast_th.rep_end_times == ref_th.rep_end_times
-    assert fast_th.rep_end_retired == ref_th.rep_end_retired
-    assert fast_th.ipc == ref_th.ipc
-    assert fast.cycles == reference.cycles
-    assert fast.converged == reference.converged
-    assert runner.last_steady_state == engages
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +171,7 @@ def test_prefetch_backend_identical_to_serial(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Steady-state replay telescoping with the prefetcher live
+# Long prefetch-enabled walks
 # ----------------------------------------------------------------------
 
 
@@ -235,7 +185,7 @@ def _pf_state(core):
     """The prefetcher's complete mutable state and statistics.
 
     In-flight ready times are compared absolutely: both cores sit at
-    the same cycle, so any drift a jump introduced would show.
+    the same cycle, so any drift between the runs would show.
     """
     pf = core.hierarchy.prefetcher
     return (tuple(tuple(tuple(e) for e in s) for s in pf._streams),
@@ -264,34 +214,27 @@ def _mem_state(core):
 #: Memory-resident walks exercising fills against every level below
 #: L1: the L2-resident walk takes the useless-filter path, the others
 #: the LMQ/DRAM fill path.
-TELESCOPE_BENCHES = ("ldint_l2", "ldint_l3", "ldint_mem")
+WALK_BENCHES = ("ldint_l2", "ldint_l3", "ldint_mem")
 
 
-@pytest.mark.parametrize("bench", TELESCOPE_BENCHES)
+@pytest.mark.parametrize("bench", WALK_BENCHES)
 def test_prefetch_telescoped_state_matches_dense(bench):
-    """A telescoped prefetch-enabled run lands on the dense state."""
+    """A long prefetch-enabled array run lands on the object state."""
     config = _pf(CoreConfig())
-    fast = _loaded(config, bench)
-    fast.step(400_000)
-    dense = _loaded(dataclasses.replace(config, engine="object"), bench)
-    dense.step(400_000)
-    assert fast._steady.jumps >= 1  # the regime must actually verify
-    assert _pf_state(fast) == _pf_state(dense)
-    assert _thread_state(fast) == _thread_state(dense)
-    assert _mem_state(fast) == _mem_state(dense)
-    # The engine must have been live across the jump, not idle.
-    assert sum(fast.hierarchy.prefetcher.stats.issues) > 0
+    array = _loaded(config, bench)
+    array.step(400_000)
+    obj = _loaded(dataclasses.replace(config, engine="object"), bench)
+    obj.step(400_000)
+    assert _pf_state(array) == _pf_state(obj)
+    assert _thread_state(array) == _thread_state(obj)
+    assert _mem_state(array) == _mem_state(obj)
+    # The prefetcher must have been live, not idle.
+    assert sum(array.hierarchy.prefetcher.stats.issues) > 0
 
 
-@pytest.mark.parametrize("bench", TELESCOPE_BENCHES)
+@pytest.mark.parametrize("bench", WALK_BENCHES)
 def test_prefetch_telescoping_invariant_to_step_chunking(bench):
-    """One big step equals the same run in runner-sized chunks.
-
-    The L3-resident walk's prefetch-on regime is longer than a runner
-    chunk, so its chunked run can never jump -- that case compares a
-    telescoped run against a dense one, the strongest form of the
-    invariance.  The other walks must jump on both sides.
-    """
+    """One big step equals the same run in runner-sized chunks."""
     config = _pf(CoreConfig())
     one = _loaded(config, bench)
     one.step(400_000)
@@ -300,9 +243,6 @@ def test_prefetch_telescoping_invariant_to_step_chunking(bench):
     while stepped < 400_000:
         chunked.step(min(8192, 400_000 - stepped))
         stepped += 8192
-    assert one._steady.jumps >= 1
-    if bench != "ldint_l3":
-        assert chunked._steady.jumps >= 1
     assert _pf_state(one) == _pf_state(chunked)
     assert _thread_state(one) == _thread_state(chunked)
     assert _mem_state(one) == _mem_state(chunked)

@@ -112,6 +112,16 @@ def test_handshake_mismatch_detected():
     assert "result version mismatch" in protocol.check_handshake(payload)
 
 
+def test_v3_handshake_refused():
+    """v3 configs carried a since-removed engine field; a v3 peer is
+    refused by version before its spec is read."""
+    payload = dict(protocol.handshake(), protocol=3)
+    assert protocol.check_handshake(payload) == (
+        f"protocol version mismatch: client v3, "
+        f"server v{protocol.PROTOCOL_VERSION}")
+    assert protocol.PROTOCOL_VERSION == 4
+
+
 # -- transparency -------------------------------------------------------
 
 
@@ -246,6 +256,23 @@ def test_handshake_mismatch_refused_with_409(tmp_path, monkeypatch):
         client = ServiceClient(handle.url)
         with pytest.raises(ServiceError, match="409.*protocol version"):
             client._request("POST", "/submit", bad)
+    finally:
+        handle.stop()
+
+
+def test_spec_with_removed_config_field_is_bad_request(tmp_path):
+    """A current-version submission whose config still names the
+    removed engine switch is a malformed spec: HTTP 400, not a crash."""
+    handle = _server(tmp_path)
+    try:
+        spec = context_spec(_ctx())
+        spec["config"]["fast_forward"] = True
+        payload = dict(protocol.handshake(), spec=spec,
+                       cells=[encode_cell(single_cell("cpu_int"))])
+        client = ServiceClient(handle.url)
+        with pytest.raises(ServiceError, match="400.*fast_forward"):
+            client._request("POST", "/submit", payload)
+        assert client.healthz()["ok"] is True
     finally:
         handle.stop()
 

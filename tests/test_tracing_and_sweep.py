@@ -1,9 +1,12 @@
 """Tests for the pipeline tracer and the public sweep API."""
 
+import dataclasses
+
 import pytest
 
-from repro.core import PipelineTracer, SMTCore
+from repro.core import PipelineTracer, SMTCore, make_core
 from repro.experiments import ExperimentContext, PrioritySweep
+from repro.experiments.base import priority_pair
 from repro.isa import OpClass
 from repro.microbench import make_microbenchmark
 
@@ -85,6 +88,74 @@ class TestPipelineTracer:
         traced.attach_tracer(PipelineTracer())
         traced.step(2000)
         assert plain.thread(0).retired == traced.thread(0).retired
+
+
+# ----------------------------------------------------------------------
+# Tracing is exact across engines
+# ----------------------------------------------------------------------
+#
+# A traced array-engine core runs the object decode loop (the compiled
+# kernels record nothing), so its event stream must match an object
+# core's event for event -- including across repetition advances and
+# flush rewinds, which go through the array engine's thread state.
+
+SECONDARY_BASE = (1 << 27) + 8192
+
+TRACE_PAIRS = [("cpu_int", "ldint_mem"), ("ldint_l2", "cpu_fp"),
+               ("lng_chain_cpuint", "ldint_l1")]
+
+
+def _engine_configs(config):
+    return (dataclasses.replace(config, engine="array"),
+            dataclasses.replace(config, engine="object"))
+
+
+def _traced_run(config, primary, secondary, priorities, cap=120_000,
+                sample_period=None):
+    from repro.pmu import IntervalSampler
+    core = make_core(config)
+    core.load([make_microbenchmark(primary, config),
+               make_microbenchmark(secondary, config,
+                                   base_address=SECONDARY_BASE)],
+              priorities=priorities)
+    tracer = PipelineTracer(limit=200_000)
+    core.attach_tracer(tracer)
+    sampler = None
+    if sample_period is not None:
+        sampler = IntervalSampler(sample_period)
+        sampler.attach(core)
+    while not core.all_finished() and core.cycle < cap:
+        core.step(4096)
+    core.drain()
+    samples = tuple(sampler.samples) if sampler is not None else ()
+    return core.result(), tracer, samples
+
+
+@pytest.mark.parametrize("primary,secondary", TRACE_PAIRS)
+@pytest.mark.parametrize("diff", (-5, 0, 5))
+def test_trace_identical_across_engines(config, primary, secondary, diff):
+    """Event streams match the object engine event for event."""
+    array_cfg, object_cfg = _engine_configs(config)
+    priorities = priority_pair(diff)
+    array_res, array_tr, _ = _traced_run(array_cfg, primary, secondary,
+                                         priorities)
+    object_res, object_tr, _ = _traced_run(object_cfg, primary,
+                                           secondary, priorities)
+    assert array_res == object_res
+    assert len(object_tr) > 0
+    assert array_tr.dropped == object_tr.dropped
+    assert array_tr.events == object_tr.events
+
+
+def test_tracer_coexists_with_pmu_sampling(config):
+    """Tracing + PMU sampling together stay exact across engines."""
+    runs = []
+    for cfg in _engine_configs(config):
+        result, tracer, samples = _traced_run(
+            cfg, "cpu_int", "ldint_mem", (6, 2), sample_period=1009)
+        runs.append((result, tracer.events, samples))
+    assert runs[0] == runs[1]
+    assert runs[0][2]  # the sampler really fired
 
 
 class TestPrioritySweep:
