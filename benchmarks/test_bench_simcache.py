@@ -62,10 +62,13 @@ def test_bench_simcache_cold_vs_warm():
     assert repr(cold_reports) == repr(warm_reports)
     assert repr(cold_reports) == repr(jobs_reports)
 
-    # The cold run filled the cache; the warm runs only read it.
+    # The cold run filled the cache; the warm runs only read it.  The
+    # cold run also looks up a few cells it stored earlier in the same
+    # run (cold hits), so every cold lookup -- hit or miss -- must be
+    # a warm hit.
     assert cold_stats["stores"] == cold_stats["misses"] > 0
     assert warm_stats["misses"] == 0
-    assert warm_stats["hits"] == cold_stats["stores"]
+    assert warm_stats["hits"] == cold_stats["hits"] + cold_stats["misses"]
 
     speedup = cold_wall / warm_wall if warm_wall else None
     section = {

@@ -7,11 +7,13 @@ one straightline Python function per decode-group start (register
 indices, latencies, occupancy caps and branch keys baked in as
 literals, intra-group dependencies forwarded through locals), and the
 step loop dispatches a whole group with one ``kernels[pos](now, tid)``
-call.  Three layers of cost disappear relative to the object engine:
+call.  Four layers of cost disappear relative to the object engine:
 
 - the per-instruction interpreter work (tuple unpack, opcode cascade,
   operand scans) -- a kernel runs ~3 bytecodes per simulated slot;
 - the per-group ``_decode_slot`` call and its ~25-local prologue;
+- the hierarchy calls of TLB+L1D hits -- a kernel tests both units
+  inline and calls ``MemoryHierarchy.load``/``store`` only on a miss;
 - the per-cycle attribute traffic on hot counters -- the step loop
   keeps the per-thread dispatch/retire counters (owned slots, GCT
   held, retired, decoded, wait accumulators) in *locals* and syncs
@@ -23,10 +25,10 @@ call.  Three layers of cost disappear relative to the object engine:
 Exactness is structural, not approximate: a kernel performs exactly
 the scoreboard reads, unit-pool claims and counter increments the
 reference decode loop would (unit-pool ``issues``/``thread_issues``/
-``total_wait`` are folded per group, which is exact at cycle
-granularity), and every group the kernels *cannot* express -- groups
-containing a priority nop, traces with dynamic group extents, traces
-too large to compile -- falls back to the inherited
+``total_wait`` and the TLB/L1D hit counts are folded per group, which
+is exact at cycle granularity), and every group the kernels *cannot*
+express -- groups containing a priority nop, traces with dynamic group
+extents, traces too large to compile -- falls back to the inherited
 ``SMTCore._decode_slot``, which is the reference implementation
 itself.  Instrumented runs (pipeline tracer) and repetition-gated
 runs route to the inherited step loop wholesale.  Like the object
@@ -182,7 +184,13 @@ class ArraySMTCore(SMTCore):
                 fxu_cap=cfg.num_fxu,
                 lsu_cap=cfg.num_lsu,
                 fpu_cap=cfg.num_fpu,
-                bxu_cap=cfg.num_bxu)
+                bxu_cap=cfg.num_bxu,
+                l1_latency=cfg.l1d.latency,
+                store_latency=cfg.store_latency,
+                tlb_page_bytes=cfg.tlb.page_bytes,
+                tlb_sets=cfg.tlb.entries // cfg.tlb.associativity,
+                l1_line_bytes=cfg.l1d.line_bytes,
+                l1_sets=cfg.l1d.num_sets)
             self._kern_consts[width] = consts
         return consts
 
@@ -190,7 +198,8 @@ class ArraySMTCore(SMTCore):
         """Kernel list for ``th``'s current trace at ``width`` (or None).
 
         Instantiation binds the thread scoreboard, this core's unit
-        pools, memory hierarchy and branch predictor into the kernels'
+        pools, memory hierarchy (down to the TLB/L1D per-set lists the
+        inline hit path reads) and branch predictor into the kernels'
         default arguments; all of those are identity-stable across
         ``reset`` (they clear in place), and threads are constructed
         after the pools reset in :meth:`SMTCore.load`.
@@ -208,7 +217,7 @@ class ArraySMTCore(SMTCore):
             if kernels is None:
                 kernels = factory(
                     th, self._fxu_pool, self._lsu_pool, self._fpu_pool,
-                    self.fus.bxu, self._hier_load, self._hier_store,
+                    self.fus.bxu, self.hierarchy,
                     self.bht.predict_and_update)
                 th._kern_cache[factory] = kernels
         th.kernels = kernels

@@ -17,7 +17,7 @@ Decode therefore always begins at one of a statically known chain of
 group-start positions (entry 0, each group's end, flush rewinds to a
 previous group start), and for each start the exact sequence of
 scoreboard reads, functional-unit claims, latencies and counter
-increments is known at compile time.  ``generate_factory_source``
+increments is known at compile time.  ``generate_factory``
 emits one tiny function per group start with every register index,
 latency, occupancy cap, branch-predictor key and instruction count
 baked in as literals, and dependencies *within* a group forwarded
@@ -32,6 +32,18 @@ maps, the memory hierarchy, the branch predictor) is bound once per
 (thread, trace) pair through default arguments -- ``LOAD_FAST`` at
 run time, no cell indirection, nothing passed per call beyond
 ``(now, tid)``.
+
+Memory accesses are compiled too.  Trace addresses are static, so
+each load's and store's TLB and L1D (set, tag) are computed here from
+the geometry in :class:`KernelConsts`, and the kernel runs the hit
+test inline against the units' flat per-set lists (see
+:mod:`repro.memory.cache`): when both the TLB and the L1D hold the
+access, it rewrites the two LRU stamps and completes at the hit
+latency, and the group folds the per-thread TLB/L1D hit counts and
+the L1 (or store) count once -- exactly what
+``MemoryHierarchy.load``/``store`` do on that path.  Any miss calls
+the hierarchy out of line, which runs the full access as in the
+object engine.
 
 Groups containing a ``PRIO_NOP`` are left to the engine's reference
 decode path (they mutate the arbiter, which a kernel must not), as
@@ -79,6 +91,14 @@ class KernelConsts(NamedTuple):
     lsu_cap: int
     fpu_cap: int
     bxu_cap: int
+    # Inline TLB+L1D hit path: hit latencies and the geometry that
+    # maps an address to its (set, tag) in each unit.
+    l1_latency: int
+    store_latency: int
+    tlb_page_bytes: int
+    tlb_sets: int
+    l1_line_bytes: int
+    l1_sets: int
 
 
 #: Per-op (pool prefix, cap field, latency field); None entries are
@@ -142,18 +162,24 @@ def partition_groups(compiled: CompiledTrace,
 
 
 def _emit_group(compiled: CompiledTrace, g0: int, end: int,
-                consts: KernelConsts) -> tuple[str, tuple]:
+                consts: KernelConsts) -> tuple[str, tuple, tuple]:
     """Emit the kernel body for the group ``[g0, end)``.
 
-    Returns ``(body, values)``: the function source with the
+    Returns ``(body, values, refs)``: the function source with the
     *group-varying* quantities -- next position, repetition-done flag,
-    memory addresses, branch key and outcome -- lifted into leading
-    parameters (``NXT``, ``RD``, ``A{i}``, ``KEY``, ``TK``), and the
-    tuple of this group's values for them.  Loop-structured traces
-    then produce the same body text for every iteration of a loop, so
-    one compiled code object (the expensive part) serves all of them;
-    per-group functions are instantiated over it by rebinding the
-    parameter defaults (see ``_F`` in the factory preamble).
+    memory addresses with their TLB and L1D sets and tags, branch key
+    and outcome -- lifted into leading parameters (``NXT``, ``RD``,
+    ``A{i}``, ``TL{i}``/``TS{i}``/``TG{i}``, ``DL{i}``/``DS{i}``/
+    ``DG{i}``, ``KEY``, ``TK``), the tuple of this group's values for
+    them, and ``refs``: ``(position, unit)`` pairs marking the values
+    that are set indices, replaced at instantiation by that set's list
+    from the hierarchy the factory binds (unit 0/1: TLB tags/stamps,
+    2/3: L1D tags/stamps).  ``refs`` depends only on the body.
+    Loop-structured traces then produce the same body text for every
+    iteration of a loop, so one compiled code object (the expensive
+    part) serves all of them; per-group functions are instantiated
+    over it by rebinding the parameter defaults (see the end of
+    ``make_kernels``).
     """
     ops, dsts = compiled.op, compiled.dst
     s1s, s2s = compiled.s1, compiled.s2
@@ -166,6 +192,7 @@ def _emit_group(compiled: CompiledTrace, g0: int, end: int,
     # tuple, not the body, carries it).
     params = ["NXT=0", "RD=False"]
     values: list = [end, end >= n]
+    refs: list[tuple[int, int]] = []
 
     # Pools and externals this group touches.
     pools: dict[str, int] = {}
@@ -178,10 +205,14 @@ def _emit_group(compiled: CompiledTrace, g0: int, end: int,
         obj, occ, get, ti, _w = _POOL_NAMES[pool]
         binds += [f"{get}={get}", f"{occ}={occ}", f"{obj}={obj}",
                   f"{ti}={ti}"]
-    if any(ops[p] == _OP_LOAD for p in idx):
-        binds.append("hl=hl")
-    if any(ops[p] == _OP_STORE for p in idx):
-        binds.append("hs=hs")
+    n_loads = sum(1 for p in idx if ops[p] == _OP_LOAD)
+    n_stores = sum(1 for p in idx if ops[p] == _OP_STORE)
+    if n_loads or n_stores:
+        binds += ["tth=tth", "dth=dth"]
+    if n_loads:
+        binds += ["hl=hl", "l1c=l1c"]
+    if n_stores:
+        binds += ["hs=hs", "stc=stc"]
     if ops[end - 1] == _OP_BR:
         binds.append("predict=predict")
         params += ["KEY=0", "TK=False"]
@@ -202,6 +233,11 @@ def _emit_group(compiled: CompiledTrace, g0: int, end: int,
     for pool, uses in pools.items():
         if uses:
             w(f"        {_POOL_NAMES[pool][4]} = 0")
+    # Out-of-line (missing) loads and stores of this group.
+    if n_loads:
+        w("        xl = 0")
+    if n_stores:
+        w("        xs = 0")
 
     # Last writer per register: only its scoreboard store survives
     # (intermediate values are forwarded through locals).  Branches
@@ -269,14 +305,9 @@ def _emit_group(compiled: CompiledTrace, g0: int, end: int,
                 w(f"            t = {s} - base")
             w("            fw += t")
             w(f"            {pw} += t")
-            if op == _OP_LOAD:
-                params.append(f"A{i}=0")
-                values.append(addrs[p])
-                w(f"        {c} = hl(A{i}, {s}, tid, now)")
-            elif op == _OP_STORE:
-                params.append(f"A{i}=0")
-                values.append(addrs[p])
-                w(f"        {c} = hs(A{i}, {s}, tid)")
+            if op == _OP_LOAD or op == _OP_STORE:
+                _emit_access(w, params, values, refs, consts, i, addrs[p],
+                             s, c, op == _OP_LOAD)
             else:
                 w(f"        {c} = {s} + {getattr(consts, lat_field)}")
 
@@ -294,6 +325,26 @@ def _emit_group(compiled: CompiledTrace, g0: int, end: int,
         w(f"        g = {comp_names[0]}")
         for c in comp_names[1:]:
             w(f"        if {c} > g: g = {c}")
+
+    # -- inline-hit counter folds --------------------------------------
+    # Every access not sent out of line hit the TLB and the L1D.  The
+    # folds are exact at group granularity: the out-of-line hierarchy
+    # calls never read these counters.
+    folds = []
+    if n_loads:
+        folds.append(("l1c", f"{n_loads} - xl"))
+    if n_stores:
+        folds.append(("stc", f"{n_stores} - xs"))
+    if len(folds) == 1:
+        w(f"        h = {folds[0][1]}")
+        folds = [(folds[0][0], "h")]
+    elif folds:
+        w(f"        h = {n_loads + n_stores} - xl - xs")
+    if folds:
+        w("        tth[tid] += h")
+        w("        dth[tid] += h")
+        for counter, hits in folds:
+            w(f"        {counter}[tid] += {hits}")
 
     # -- per-pool counter folds ---------------------------------------
     for pool, uses in pools.items():
@@ -316,57 +367,120 @@ def _emit_group(compiled: CompiledTrace, g0: int, end: int,
         w(f"        return NXT, {count}, {g}, {ow}, {fu}, -1, RD")
 
     sig = ", ".join(params + binds)
-    return f"(now, tid, {sig}):\n" + "\n".join(out), tuple(values)
+    return (f"(now, tid, {sig}):\n" + "\n".join(out), tuple(values),
+            tuple(refs))
 
 
-def generate_factory_source(compiled: CompiledTrace,
-                            consts: KernelConsts) -> str | None:
-    """Source of ``make_kernels`` for ``compiled``, or None.
+def _emit_access(w, params: list[str], values: list,
+                 refs: list[tuple[int, int]], consts: KernelConsts, i: int,
+                 addr: int, s: str, c: str, is_load: bool) -> None:
+    """Emit load/store ``i`` at issue time ``s`` completing into ``c``.
 
-    None means the trace is not kernelizable under ``consts`` (group
-    extents dynamic, empty trace, or too large); callers fall back to
-    the reference decode path.
+    The TLB+L1D hit test runs inline.  An L1D miss is common, so it is
+    a membership test; a TLB miss is rare, so ``index`` (which finds
+    the way whose stamp the access rewrites) raises it.  Nothing is
+    touched before both units are known to hit, and any miss runs the
+    full access out of line, exactly as in the object engine.  Hit
+    counters are folded per group (see the caller).
+    """
+    page = addr // consts.tlb_page_bytes
+    line = addr // consts.l1_line_bytes
+    tset, dset = page % consts.tlb_sets, line % consts.l1_sets
+    params.extend([f"A{i}=0", f"TL{i}=0", f"TS{i}=0", f"TG{i}=0",
+                   f"DL{i}=0", f"DS{i}=0", f"DG{i}=0"])
+    k = len(values)
+    refs.extend([(k + 1, 0), (k + 2, 1), (k + 4, 2), (k + 5, 3)])
+    values.extend([addr, tset, tset, page // consts.tlb_sets, dset, dset,
+                   line // consts.l1_sets])
+    if is_load:
+        miss, x, lat = f"hl(A{i}, {s}, tid, now)", "xl", consts.l1_latency
+    else:
+        miss, x, lat = f"hs(A{i}, {s}, tid)", "xs", consts.store_latency
+    w(_ACCESS.format(i=i, s=s, c=c, miss=miss, x=x, lat=lat))
+
+
+#: Body of one inline memory access (see :func:`_emit_access`).
+_ACCESS = """\
+        if DG{i} in DL{i}:
+            try:
+                TS{i}[TL{i}.index(TG{i})] = {s}
+            except ValueError:
+                {c} = {miss}
+                {x} += 1
+            else:
+                DS{i}[DL{i}.index(DG{i})] = {s}
+                {c} = {s} + {lat}
+        else:
+            {c} = {miss}
+            {x} += 1"""
+
+
+def generate_factory(compiled: CompiledTrace, consts: KernelConsts):
+    """``(source, groups)`` of ``make_kernels`` for ``compiled``, or None.
+
+    ``source`` defines the distinct group bodies; ``groups`` holds one
+    ``(start, body index, values, refs)`` row per kernelized group,
+    which ``make_kernels`` instantiates (see :func:`_emit_group`).
+    Keeping the rows as data, not source, keeps ``compile()`` to the
+    bodies.  None means the trace is not kernelizable under ``consts``
+    (group extents dynamic, empty trace, or too large); callers fall
+    back to the reference decode path.
     """
     n = len(compiled.op)
     if (not consts.branch_ends or consts.width < 1 or n == 0
             or n > MAX_KERNEL_INSTRUCTIONS):
         return None
-    groups = partition_groups(compiled, consts)
     out: list[str] = [
         "from types import FunctionType as _FT",
-        "def _F(f, pre):",
-        "    d = f.__defaults__",
-        "    return _FT(f.__code__, f.__globals__, f.__name__,",
-        "               pre + d[len(pre):], None)",
-        "def make_kernels(th, fxu, lsu, fpu, bxu, hl, hs, predict):",
+        "def make_kernels(th, fxu, lsu, fpu, bxu, hier, predict):",
         "    rr = th.reg_ready",
+        "    hl, hs = hier.load, hier.store",
+        "    tlb, l1d = hier.tlb, hier.l1d",
+        "    tt, tst, tth = tlb._tags, tlb._stamps, tlb.stats.thread_hits",
+        "    dt, dst, dth = l1d._tags, l1d._stamps, l1d.stats.thread_hits",
+        "    l1c, stc = hier._l1_counts, hier.store_counts",
     ]
     for _obj, occ, get, ti, _w in _POOL_NAMES.values():
         pool = _obj
         out.append(f"    {occ} = {pool}._occupied")
         out.append(f"    {get} = {occ}.get")
         out.append(f"    {ti} = {pool}.thread_issues")
-    out.append(f"    K = [None] * {n}")
     # Loop-structured traces repeat group bodies across iterations;
     # compile each distinct body once and instantiate the per-group
     # functions by rebinding the group-varying parameter defaults.
-    bodies: dict[str, str] = {}
-    for g0, (end, has_prio) in groups.items():
+    bodies: dict[str, int] = {}
+    rows = []
+    for g0, (end, has_prio) in partition_groups(compiled, consts).items():
         if has_prio:
             continue  # reference path: may rebuild the arbiter
-        body, values = _emit_group(compiled, g0, end, consts)
-        name = bodies.get(body)
-        if name is None:
-            name = f"_b{len(bodies)}"
-            bodies[body] = name
-            out.append(f"    def {name}{body}")
-        out.append(f"    K[{g0}] = _F({name}, {values!r})")
-    out.append("    return K")
-    return "\n".join(out) + "\n"
+        body, values, refs = _emit_group(compiled, g0, end, consts)
+        index = bodies.get(body)
+        if index is None:
+            index = bodies[body] = len(bodies)
+            out.append(f"    def _b{index}{body}")
+        rows.append((g0, index, values, refs))
+    out += [
+        f"    B = ({''.join(f'_b{i}, ' for i in range(len(bodies)))})",
+        "    sets = (tt, tst, dt, dst)",
+        f"    K = [None] * {n}",
+        "    for g0, b, pre, refs in GROUPS:",
+        "        if refs:",
+        "            pre = list(pre)",
+        "            for k, unit in refs:",
+        "                pre[k] = sets[unit][pre[k]]",
+        "            pre = tuple(pre)",
+        "        f = B[b]",
+        "        d = f.__defaults__",
+        "        K[g0] = _FT(f.__code__, f.__globals__, f.__name__,",
+        "                    pre + d[len(pre):], None)",
+        "    return K",
+    ]
+    return "\n".join(out) + "\n", tuple(rows)
 
 
-def compile_factory(source: str, name: str = "<trace-kernels>"):
+def compile_factory(source: str, groups: tuple,
+                    name: str = "<trace-kernels>"):
     """Compile generated factory source; returns ``make_kernels``."""
-    ns: dict = {}
+    ns: dict = {"GROUPS": groups}
     exec(compile(source, name, "exec"), ns)  # noqa: S102 (own codegen)
     return ns["make_kernels"]

@@ -5,6 +5,12 @@ POWER5: capacity/conflict interference in every cache level, a shared
 load-miss queue, and a serialized DRAM bus.  ``load`` returns the
 data-ready time of an access issued at a given cycle; ``store`` models
 a store-queue-absorbed write (write-allocate into L1D, fixed latency).
+
+The array engine's compiled kernels run the TLB+L1D hit path of
+``load`` and ``store`` inline and call them only on a miss (see
+:mod:`repro.isa.kernelgen`): what a hit does -- two LRU stamps, the
+per-thread hit counts, the L1 or store count, the hit latency -- is
+stated in both places, and the differential suites hold them equal.
 """
 
 from __future__ import annotations

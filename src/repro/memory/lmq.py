@@ -13,10 +13,21 @@ intervals overlap -- a far-future chain load never blocks a miss that
 is ready now.
 
 The occupancy records are kept as ``(end, start)`` pairs sorted by end
-time: expired records sit at the front (trimmed with one bisect), the
-conflict scan can skip everything already released at the probe point,
-and the first active record it meets is also the earliest-releasing
-one -- which is exactly the retry time a saturated probe must return.
+time, with their start times mirrored in a second sorted list.  The
+number of slots busy at cycle ``p`` is then two bisects: starts at or
+before ``p`` minus ends at or before ``p`` (every record starts no
+later than it ends).  Pruning at ``now`` drops the records that ended
+by then together with as many of the smallest starts, which all lie
+at or before ``now``, so both counts stay exact at every probe point
+at or after ``now`` -- the only ones the core makes.
+
+A saturated request is resolved by one forward sweep over the merged
+start/end events from the requested cycle: the candidate slides to
+the first cycle the occupancy drops below ``entries``, and is accepted
+once no start event inside the requested span raises it back to
+``entries``.  Occupancy only rises at starts, so those are the only
+points inside the span that can saturate, and the sweep returns the
+earliest feasible cycle.
 """
 
 from __future__ import annotations
@@ -32,9 +43,11 @@ class LoadMissQueue:
             raise ValueError("LMQ needs at least one entry")
         self.entries = entries
         # Occupancy records (end, start) of outstanding misses, sorted
-        # ascending (by end time first).  Bounded by the in-flight
-        # window (GCT) plus expired leftovers, which acquire trims.
+        # ascending (by end time first), and their start times, sorted.
+        # Bounded by the in-flight window (GCT) plus expired leftovers,
+        # which acquire trims.
         self._intervals: list[tuple[int, int]] = []
+        self._starts: list[int] = []
         self._pending_start = 0
         self.acquisitions = 0
         self.total_wait_cycles = 0
@@ -44,6 +57,7 @@ class LoadMissQueue:
     def reset(self) -> None:
         """Free all slots and zero statistics."""
         self._intervals.clear()
+        self._starts.clear()
         self._pending_start = 0
         self.acquisitions = 0
         self.total_wait_cycles = 0
@@ -79,67 +93,83 @@ class LoadMissQueue:
             # ``now`` (loads issue no earlier than the decode cycle),
             # so records ending by then can never be active at one and
             # dropping them is behaviour-invisible.  They are a sorted
-            # prefix, so one bisect finds the cut.
+            # prefix, so one bisect finds the cut; their starts go with
+            # the same number of smallest starts (see the module
+            # docstring).
             i = bisect_right(intervals, (now, 1 << 62))
             if i:
                 del intervals[:i]
-        if len(intervals) < entries:
-            # Fewer outstanding records than slots: no probe point can
-            # be saturated, the requested start is feasible as-is.
+                del self._starts[:i]
+        j = bisect_right(intervals, (start, 1 << 62))
+        if len(intervals) - j < entries:
+            # Fewer records than slots end after ``start``: no probe
+            # point can be saturated, the requested start is feasible
+            # as-is.
             self._pending_start = start
             return start
-        t = start
-        while True:
-            retry = self._conflict(t, t + max(1, duration))
-            if retry is None:
-                break
-            t = retry
+        t = self._earliest(start, max(1, duration), j)
         self.total_wait_cycles += t - start
         self.thread_wait_cycles[thread_id] += t - start
         self._pending_start = t
         return t
 
-    def _conflict(self, begin: int, end: int) -> int | None:
-        """First retry time if ``[begin, end)`` overflows capacity."""
+    def _earliest(self, t: int, duration: int, j: int) -> int:
+        """First ``t' >= t`` with ``[t', t'+duration)`` unsaturated.
+
+        ``j`` counts the records ending at or before ``t``.  One sweep
+        over the start/end events after ``t`` in time order, keeping
+        the occupancy ``busy`` at the current point.
+        """
         intervals = self._intervals
+        starts = self._starts
         entries = self.entries
         n = len(intervals)
-        p = begin
+        big = 1 << 62
+        i = bisect_right(starts, t)
+        busy = i - j
+        ns = starts[i] if i < n else big
+        ne = intervals[j][0] if j < n else big
         while True:
-            # Records with end <= p are released; the sorted order puts
-            # them in a prefix the bisect skips.  Scanning upward from
-            # there, the first record covering ``p`` has the smallest
-            # end among all active ones -- the retry time on overflow.
-            count = 0
-            retry = 0
-            j = bisect_right(intervals, (p, 1 << 62))
-            first = j
-            while j < n:
-                rec = intervals[j]
-                if rec[1] <= p:
-                    if not count:
-                        retry = rec[0]
-                    count += 1
-                    if count >= entries:
-                        return retry
-                j += 1
-            # Advance to the next interval start inside (p, end): the
-            # active set only grows at interval starts, so those are
-            # the only probe points that can newly saturate.  Starts
-            # before ``p`` belong to records already counted or
-            # released, so the scan resumes at the bisect point.
-            nxt = end
-            for j in range(first, n):
-                s = intervals[j][1]
-                if p < s < nxt:
-                    nxt = s
-            if nxt == end:
-                return None
-            p = nxt
+            # Saturated at ``t``: no cycle before the occupancy next
+            # drops below ``entries`` is feasible.  Only ends lower
+            # it, and one is pending while any record is active.
+            while busy >= entries:
+                t = ne if ne < ns else ns
+                while ns == t:
+                    busy += 1
+                    i += 1
+                    ns = starts[i] if i < n else big
+                while ne == t:
+                    busy -= 1
+                    j += 1
+                    ne = intervals[j][0] if j < n else big
+            # Unsaturated at ``t``: accept unless a start inside the
+            # span saturates it, and resume from that start if so.
+            lim = t + duration
+            while True:
+                q = ne if ne < ns else ns
+                if q >= lim:
+                    return t
+                while ns == q:
+                    busy += 1
+                    i += 1
+                    ns = starts[i] if i < n else big
+                while ne == q:
+                    busy -= 1
+                    j += 1
+                    ne = intervals[j][0] if j < n else big
+                if busy >= entries:
+                    t = q
+                    break
 
     def fill(self, completion: int) -> None:
-        """Record the interval of the miss most recently acquired."""
+        """Record the interval of the miss most recently acquired.
+
+        ``completion`` is at or after the start :meth:`acquire`
+        returned (a miss never completes before it issues).
+        """
         insort(self._intervals, (completion, self._pending_start))
+        insort(self._starts, self._pending_start)
 
     def __repr__(self) -> str:
         return f"LoadMissQueue(entries={self.entries})"

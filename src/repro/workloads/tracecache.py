@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.config import CoreConfig
 from repro.isa.compiled import CompiledTrace, compile_trace
 from repro.isa.kernelgen import (KernelConsts, compile_factory,
-                                 generate_factory_source)
+                                 generate_factory)
 from repro.isa.trace import TraceSource
 from repro.microbench import make_microbenchmark
 from repro.workloads.spec import SPEC_PROFILES, make_spec_workload
@@ -136,8 +136,8 @@ def kernel_factory(instructions: tuple, consts: KernelConsts):
         _FACTORY_HITS += 1
         return factory
     _FACTORY_MISSES += 1
-    source = generate_factory_source(compiled_trace(instructions), consts)
-    factory = None if source is None else compile_factory(source)
+    generated = generate_factory(compiled_trace(instructions), consts)
+    factory = None if generated is None else compile_factory(*generated)
     _FACTORIES[key] = factory
     return factory
 

@@ -137,19 +137,22 @@ def test_array_sweep_serial_vs_jobs2_identical():
 # Complete machine state after long runs
 # ----------------------------------------------------------------------
 
-def _recency_sig(sets):
+def _recency_sig(recency):
     """Canonical (tags, recency order) form of one cache/TLB level.
 
-    Lookups compare stamps only within a set, so two states behave
-    identically iff each set holds the same tags in the same dict
-    order with the same stamp ranking.
+    ``recency`` is the unit's :meth:`recency` view: per set, its
+    ``(tag, stamp)`` pairs in insertion order.  Lookups compare stamps
+    only within a set, so two states behave identically iff each set
+    holds the same tags in the same insertion order with the same
+    stamp ranking.
     """
     out = []
-    for s in sets:
-        if s:
-            vals = list(s.values())
-            out.append((tuple(s), tuple(sorted(range(len(vals)),
-                                               key=vals.__getitem__))))
+    for pairs in recency:
+        if pairs:
+            vals = [stamp for _tag, stamp in pairs]
+            out.append((tuple(tag for tag, _stamp in pairs),
+                        tuple(sorted(range(len(vals)),
+                                     key=vals.__getitem__))))
         else:
             out.append(())
     return tuple(out)
@@ -204,7 +207,7 @@ def _machine_state(core):
     caches = tuple(
         (unit.stats.hits, unit.stats.misses,
          tuple(unit.stats.thread_hits), tuple(unit.stats.thread_misses),
-         _recency_sig(unit._sets))
+         _recency_sig(unit.recency()))
         for unit in (hier.tlb, hier.l1d, hier.l2, hier.l3))
     pools = tuple(
         (p.issues, p.total_wait, tuple(p.thread_issues),

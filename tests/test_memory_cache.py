@@ -1,8 +1,10 @@
 """Unit tests for the set-associative cache and TLB models."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import CacheConfig, TLBConfig
+from repro.config import POWER5, CacheConfig, CoreConfig, TLBConfig
 from repro.memory import SetAssociativeCache, TLB
 
 
@@ -154,3 +156,102 @@ class TestTLB:
         tlb.reset()
         assert not tlb.access(0, 1)
         assert tlb.stats.misses == 1
+
+
+class TestRecencyView:
+    def test_insertion_order_with_stamps(self):
+        c = make_cache(size=256, line=64, assoc=2)  # 2 sets
+        c.access(0, 5)
+        c.access(128, 3)
+        c.access(0, 9)  # a hit keeps its position, rewrites its stamp
+        assert c.recency() == (((0, 9), (1, 3)), ())
+
+    def test_tlb_view(self):
+        tlb = TLB(TLBConfig(entries=4, associativity=2, page_bytes=4096))
+        tlb.access(4096, 7)
+        assert tlb.recency() == ((), ((0, 7),))
+
+
+# ----------------------------------------------------------------------
+# Exactness against the dict-per-set LRU model
+# ----------------------------------------------------------------------
+
+class DictLRU:
+    """The previous cache/TLB model, kept verbatim as the oracle.
+
+    Per set: a dict tag -> last-access stamp; a hit rewrites the stamp
+    (the key keeps its insertion position), a miss evicts the first key
+    with the smallest stamp when the set is full.
+    """
+
+    def __init__(self, num_sets, assoc, block_bytes):
+        self.num_sets, self.assoc, self.block = num_sets, assoc, block_bytes
+        self.sets = [dict() for _ in range(num_sets)]
+        self.thread_hits = [0, 0]
+        self.thread_misses = [0, 0]
+
+    def access(self, addr, now, thread_id):
+        line = addr // self.block
+        idx = line % self.num_sets
+        tag = line // self.num_sets
+        cache_set = self.sets[idx]
+        if tag in cache_set:
+            cache_set[tag] = now
+            self.thread_hits[thread_id] += 1
+            return True
+        self.thread_misses[thread_id] += 1
+        if len(cache_set) >= self.assoc:
+            victim = min(cache_set, key=cache_set.__getitem__)
+            del cache_set[victim]
+        cache_set[tag] = now
+        return False
+
+
+def _units(config: CoreConfig):
+    """(name, unit under test, oracle) for every level of ``config``."""
+    out = []
+    for name in ("l1d", "l2", "l3"):
+        cfg = getattr(config, name)
+        out.append((name, SetAssociativeCache(cfg, name),
+                    DictLRU(cfg.num_sets, cfg.associativity,
+                            cfg.line_bytes)))
+    tlb = config.tlb
+    out.append(("tlb", TLB(tlb),
+                DictLRU(tlb.entries // tlb.associativity,
+                        tlb.associativity, tlb.page_bytes)))
+    return out
+
+
+GEOMETRIES = {"default": CoreConfig(), "small": POWER5.small()}
+
+#: One access: (set slot, tag, byte offset, stamp, thread).  Three
+#: sets and up to twice the associativity of tags per set force
+#: conflict evictions; stamps are small, so they repeat and go
+#: backwards (issue times are not monotone).
+accesses = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 24), st.integers(0, 255),
+              st.integers(0, 40), st.integers(0, 1)),
+    min_size=1, max_size=300)
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+@settings(max_examples=40, deadline=None)
+@given(stream=accesses)
+def test_flat_sets_match_dict_lru(geometry, stream):
+    """Hit/miss, per-thread stats and recency equal the dict model
+    after every access, at every level of both machine presets."""
+    for _name, unit, oracle in _units(GEOMETRIES[geometry]):
+        sets, block = oracle.num_sets, oracle.block
+        for slot, tag, offset, stamp, tid in stream:
+            idx = slot * (sets // 3 or 1) % sets
+            addr = (tag * sets + idx) * block + offset % block
+            assert unit.access(addr, stamp, tid) == oracle.access(
+                addr, stamp, tid)
+            assert unit.stats.thread_hits == oracle.thread_hits
+            assert unit.stats.thread_misses == oracle.thread_misses
+            assert unit.stats.hits == sum(oracle.thread_hits)
+            assert unit.stats.misses == sum(oracle.thread_misses)
+            assert (unit.recency()[idx]
+                    == tuple(oracle.sets[idx].items()))
+        assert unit.recency() == tuple(tuple(s.items())
+                                       for s in oracle.sets)

@@ -1,6 +1,10 @@
 """Unit tests for the DRAM bus and the load-miss queue."""
 
+from bisect import bisect_right, insort
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import MemoryConfig
 from repro.memory import DRAM, LoadMissQueue
@@ -123,3 +127,122 @@ class TestLoadMissQueue:
         q.fill(1000)
         q.reset()
         assert q.acquire(0, 0) == 0
+
+
+# ----------------------------------------------------------------------
+# Exactness against the interval-scan LMQ
+# ----------------------------------------------------------------------
+
+class ScanLMQ:
+    """The previous load-miss queue, kept verbatim as the oracle.
+
+    Records ``(end, start)`` sorted by end; a saturated request is
+    resolved by rescanning the active records at every probe point.
+    """
+
+    def __init__(self, entries):
+        self.entries = entries
+        self._intervals = []
+        self._pending_start = 0
+        self.acquisitions = 0
+        self.total_wait_cycles = 0
+        self.thread_acquisitions = [0, 0]
+        self.thread_wait_cycles = [0, 0]
+
+    def acquire(self, start, now, thread_id=0, duration=1):
+        self.acquisitions += 1
+        self.thread_acquisitions[thread_id] += 1
+        intervals = self._intervals
+        entries = self.entries
+        if len(intervals) >= entries:
+            i = bisect_right(intervals, (now, 1 << 62))
+            if i:
+                del intervals[:i]
+        if len(intervals) < entries:
+            self._pending_start = start
+            return start
+        t = start
+        while True:
+            retry = self._conflict(t, t + max(1, duration))
+            if retry is None:
+                break
+            t = retry
+        self.total_wait_cycles += t - start
+        self.thread_wait_cycles[thread_id] += t - start
+        self._pending_start = t
+        return t
+
+    def _conflict(self, begin, end):
+        intervals = self._intervals
+        entries = self.entries
+        n = len(intervals)
+        p = begin
+        while True:
+            count = 0
+            retry = 0
+            j = bisect_right(intervals, (p, 1 << 62))
+            first = j
+            while j < n:
+                rec = intervals[j]
+                if rec[1] <= p:
+                    if not count:
+                        retry = rec[0]
+                    count += 1
+                    if count >= entries:
+                        return retry
+                j += 1
+            nxt = end
+            for j in range(first, n):
+                s = intervals[j][1]
+                if p < s < nxt:
+                    nxt = s
+            if nxt == end:
+                return None
+            p = nxt
+
+    def fill(self, completion):
+        insort(self._intervals, (completion, self._pending_start))
+
+
+#: One request: (cycles ``now`` advances, how far in the future the
+#: miss wants to issue, duration, extra cycles past the reserved span
+#: before the fill, thread).  Small advances against long durations
+#: keep the queue saturated; the lead time puts starts in the future.
+requests = st.lists(
+    st.tuples(st.integers(0, 30), st.sampled_from([0, 0, 1, 4, 40, 250]),
+              st.integers(1, 300), st.sampled_from([0, 0, 0, 3, 90]),
+              st.integers(0, 1)),
+    min_size=1, max_size=200)
+
+
+def _replay(entries, stream):
+    """Drive both queues with ``stream``; returns the total wait."""
+    lmq, oracle = LoadMissQueue(entries), ScanLMQ(entries)
+    now = 0
+    for advance, lead, duration, extra, tid in stream:
+        now += advance
+        start = now + lead
+        got = lmq.acquire(start, now, tid, duration)
+        assert got == oracle.acquire(start, now, tid, duration)
+        lmq.fill(got + duration + extra)
+        oracle.fill(got + duration + extra)
+        assert lmq.acquisitions == oracle.acquisitions
+        assert lmq.total_wait_cycles == oracle.total_wait_cycles
+        assert lmq.thread_acquisitions == oracle.thread_acquisitions
+        assert lmq.thread_wait_cycles == oracle.thread_wait_cycles
+    return lmq.total_wait_cycles
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=st.integers(1, 8), stream=requests)
+def test_sweep_matches_interval_scan(entries, stream):
+    """Every returned start and every wait counter equals the scan
+    model's, with pruning, future starts and a saturated queue."""
+    _replay(entries, stream)
+
+
+def test_saturated_stream_matches_interval_scan():
+    """A fixed stream that keeps all 8 slots busy and waits often."""
+    stream = [(i % 3, (0, 1, 40, 250)[i % 4], 1 + (i * 37) % 300,
+               (0, 3, 90)[i % 3], i % 2) for i in range(400)]
+    assert _replay(8, stream) > 0

@@ -3,7 +3,9 @@
 The sweep/trace cache key starts with ``SCHEMA_VERSION``; an entry
 written by any other version of the result schema (e.g. a pickle from
 the single-core era, v1) can therefore never satisfy a lookup made by
-the current code, no matter how the rest of the key matches.
+the current code, no matter how the rest of the key matches.  Compiled
+kernels bake in the TLB/L1D geometry, so their cache key carries it
+and two machine shapes never share one.
 """
 
 from __future__ import annotations
@@ -12,6 +14,13 @@ import dataclasses
 
 import pytest
 
+from repro.config import POWER5, CoreConfig
+from repro.core import make_core
+from repro.fame import FameRunner
+from repro.isa import TraceBuilder
+from repro.isa.trace import FixedTraceSource
+from repro.microbench import make_microbenchmark
+from repro.pmu import Pmu
 from repro.workloads import tracecache
 from repro.workloads.tracecache import (
     SCHEMA_VERSION,
@@ -104,3 +113,67 @@ def test_worker_handshake_rejects_version_mismatch(config):
         _init_worker(config, min_repetitions=2, maiv=0.02,
                      max_cycles=250_000,
                      schema_version=SCHEMA_VERSION + 1)
+
+
+# ----------------------------------------------------------------------
+# Kernels bake the TLB/L1D geometry: no stale set/tag reuse
+# ----------------------------------------------------------------------
+
+def _store_heavy():
+    """Three stores per load over 96 lines (1 KiB apart), so stores
+    both hit and miss the TLB and the L1D of either preset."""
+    b = TraceBuilder()
+    for k in range(96):
+        addr = (1 << 22) + k * 1024
+        b.load(3, addr)
+        b.store(3, addr)
+        b.store(4, addr + 8192)
+        b.store(5, addr + 3 * 4096)
+        b.fx(4, 3)
+        if k % 8 == 7:
+            b.loop_overhead(6, taken=k < 95)
+    return FixedTraceSource(b.build("store_heavy"))
+
+
+def test_geometries_get_distinct_kernels():
+    """Default and small presets never share a compiled kernel: their
+    baked constants differ, so one trace gets one factory per preset."""
+    configs = (CoreConfig(), POWER5.small())
+    trace = tuple(_store_heavy().repetition(0))
+    consts = [make_core(c)._consts(c.decode_width) for c in configs]
+    assert consts[0] != consts[1]
+    assert ((consts[0].tlb_sets, consts[0].l1_sets)
+            != (consts[1].tlb_sets, consts[1].l1_sets))
+    factories = [tracecache.kernel_factory(trace, k) for k in consts]
+    assert None not in factories
+    assert factories[0] is not factories[1]
+    assert [tracecache.kernel_factory(trace, k) for k in consts] == factories
+    assert cache_info()["factory_entries"] == 2
+
+
+def test_both_geometries_bit_identical_in_one_process():
+    """Alternating presets in one process, the array engine matches the
+    object engine on a memory-bound pair and on a store-heavy kernel,
+    counter bank and samples included."""
+    secondary = (1 << 27) + 8192
+
+    def run(config, pair):
+        runner = FameRunner(config, min_repetitions=2, max_cycles=150_000)
+        if pair == "mem":
+            sources = (make_microbenchmark("ldint_l2", config),
+                       make_microbenchmark("ldint_mem", config,
+                                           base_address=secondary))
+        else:
+            sources = (_store_heavy(),
+                       make_microbenchmark("ldint_l1", config,
+                                           base_address=secondary))
+        pmu = Pmu(sample_period=1009)
+        fame = runner.run_pair(*sources, priorities=(6, 2), pmu=pmu)
+        return fame, pmu.report()
+
+    for pair in ("mem", "stores"):
+        for config in (CoreConfig(), POWER5.small()):
+            array = run(config, pair)
+            obj = run(dataclasses.replace(config, engine="object"), pair)
+            assert array == obj, (pair, config.l1d)
+            assert array[1].counter("PM_ST_CMPL", 0) > 0
