@@ -134,7 +134,7 @@ class CoreConfig:
     # trace into per-group kernels and runs the inlined
     # decode/issue/retire loop of :class:`repro.core.ArraySMTCore`;
     # ``"object"`` walks per-instruction ``Instruction`` tuples through
-    # ``SMTCore._decode_slot``, one cycle at a time.  The switch never
+    # ``SMTCore._decode_group``, one cycle at a time.  The switch never
     # changes simulated behaviour -- both engines are bit-identical on
     # every counter -- so it is excluded from the fingerprint and the
     # object engine stays available as the differential reference.
@@ -177,6 +177,9 @@ class CoreConfig:
         if self.engine not in ("array", "object"):
             raise ValueError(
                 f"unknown engine {self.engine!r}: use 'array' or 'object'")
+        if self.decode_width < 1:
+            raise ValueError("decode_width must be >= 1: a group holds "
+                             "at least one instruction")
 
     def replace(self, **changes) -> "CoreConfig":
         """Return a copy with the given fields replaced."""

@@ -11,32 +11,39 @@ call.  Four layers of cost disappear relative to the object engine:
 
 - the per-instruction interpreter work (tuple unpack, opcode cascade,
   operand scans) -- a kernel runs ~3 bytecodes per simulated slot;
-- the per-group ``_decode_slot`` call and its ~25-local prologue;
+- the object engine's per-group ``_decode_slot``/``_decode_group``
+  calls and their ~25-local prologue;
 - the hierarchy calls of TLB+L1D hits -- a kernel tests both units
   inline and calls ``MemoryHierarchy.load``/``store`` only on a miss;
 - the per-cycle attribute traffic on hot counters -- the step loop
   keeps the per-thread dispatch/retire counters (owned slots, GCT
-  held, retired, decoded, wait accumulators) in *locals* and syncs
-  them to the thread objects only at the rare boundaries where
-  something else can observe them: before a balancer flush, a
-  monitoring-window update, a periodic hook, a reference-path decode,
-  and on return from ``step``.
+  held, retired, decoded, wait accumulators) in *locals*, loaded by
+  :meth:`ArrayThread.hot` and stored back by
+  :meth:`ArrayThread.store_hot` only at the rare boundaries where
+  something else can observe them: a balancer flush, a monitoring-
+  window update, a periodic hook, and the return from ``step``.
 
-Exactness is structural, not approximate: a kernel performs exactly
-the scoreboard reads, unit-pool claims and counter increments the
-reference decode loop would (unit-pool ``issues``/``thread_issues``/
-``total_wait`` and the TLB/L1D hit counts are folded per group, which
-is exact at cycle granularity), and every group the kernels *cannot*
-express -- groups containing a priority nop, traces with dynamic group
-extents, traces too large to compile -- falls back to the inherited
-``SMTCore._decode_slot``, which is the reference implementation
-itself.  Instrumented runs (pipeline tracer) and repetition-gated
-runs route to the inherited step loop wholesale.  Like the object
+One decode contract serves every group.  A kernel returns
+``(next_pos, count, group_comp, op_wait, fu_wait, mispredict_comp,
+rep_done)``, and so does the object engine's group walk
+:meth:`SMTCore._decode_group`; the loop calls the walk wherever the
+kernel list holds None -- a group containing a priority nop (it
+rebuilds the arbiter, which a kernel must not) or a start off the
+compiled chain after a mid-run width change -- and both feed the same
+dispatch tail.  Every non-empty trace compiles.  Exactness is
+structural, not approximate: a kernel performs exactly the scoreboard
+reads, unit-pool claims and counter increments the walk would
+(unit-pool ``issues``/``thread_issues``/``total_wait`` and the TLB/L1D
+hit counts are folded per group, which is exact at cycle granularity).
+Instrumented runs (pipeline tracer), repetition-gated runs and
+configurations with dynamic group extents (``branch_ends_group``
+off) route to the inherited step loop wholesale.  Like the object
 engine, this loop advances one cycle at a time: it is the only fast
 path, and it skips nothing.  The object engine remains the
 differential reference; ``tests/test_array_engine_differential.py``
 asserts bit-identity across the full microbenchmark x priority
-matrix.
+matrix, and ``tests/test_core_fuzz.py`` on generated traces,
+configurations and hook schedules.
 
 Kernel binding: a kernel list is instantiated per (thread, trace,
 group width) by the process-wide factory cache in
@@ -56,9 +63,11 @@ from repro.isa.trace import TraceSource
 from repro.priority.arbiter import ArbiterMode
 from repro.priority.levels import PrivilegeLevel
 
-#: ``ArrayThread.kernels`` value meaning "not bound yet" (None means
-#: "bound, but the trace is not kernelizable: use the reference path").
-_UNBOUND = object()
+#: Completion cycle of an empty in-flight queue.
+_NEVER = 1 << 62
+
+#: :meth:`ArrayThread.hot` of an empty context.
+_EMPTY_HOT = (0,) * 15 + (False, False, 0, False, _NEVER)
 
 #: Memoised accessor for the process-wide kernel-factory cache.  Bound
 #: lazily: ``repro.workloads`` imports ``repro.core`` at module scope,
@@ -94,7 +103,7 @@ class ArrayThread(HardwareThread):
         self._rep_obj: object | None = None
         self._bound_trace: list | None = None
         self._trace_tuple: tuple = ()
-        self.kernels = _UNBOUND
+        self.kernels: list | None = None
         self._kern_width = -1
         #: factory -> instantiated kernel list (one entry per width the
         #: run has used; alternating rewind targets reuse entries).
@@ -104,7 +113,7 @@ class ArrayThread(HardwareThread):
     def _bind(self) -> None:
         self._bound_trace = self.trace
         self._trace_tuple = tuple(self.trace)
-        self.kernels = _UNBOUND
+        self.kernels = None
         self._kern_width = -1
 
     def advance_repetition(self) -> None:
@@ -144,6 +153,35 @@ class ArrayThread(HardwareThread):
             self.finished = False
         self.pos = pos
 
+    def hot(self) -> tuple:
+        """The state the array step loop keeps in locals.
+
+        The 15 counters the loop updates, in :meth:`store_hot` order,
+        then five it only reads: ``balancer_stalled`` (written through
+        on change), ``throttled``, ``rep_index``, whether the thread can
+        still decode, and the completion cycle of its oldest in-flight
+        group.
+        """
+        q = self.inflight
+        return (self.owned_slots, self.gct_held, self.retired,
+                self.decoded, self.groups_dispatched,
+                self.operand_wait_cycles, self.fu_wait_cycles,
+                self.wasted_slots, self.slots_lost_gct,
+                self.slots_lost_stall, self.slots_lost_balancer,
+                self.slots_lost_throttle, self.mispredicts,
+                self.stall_until, self.pos,
+                self.balancer_stalled, self.throttled, self.rep_index,
+                not self.finished, q[0][0] if q else _NEVER)
+
+    def store_hot(self, *hot) -> None:
+        """Write back the first 15 fields of :meth:`hot`."""
+        (self.owned_slots, self.gct_held, self.retired, self.decoded,
+         self.groups_dispatched, self.operand_wait_cycles,
+         self.fu_wait_cycles, self.wasted_slots, self.slots_lost_gct,
+         self.slots_lost_stall, self.slots_lost_balancer,
+         self.slots_lost_throttle, self.mispredicts, self.stall_until,
+         self.pos) = hot
+
 
 class ArraySMTCore(SMTCore):
     """The compiled-kernel engine.  See the module docstring."""
@@ -175,7 +213,6 @@ class ArraySMTCore(SMTCore):
             consts = KernelConsts(
                 width=width,
                 break_long=cfg.break_group_on_long_dep,
-                branch_ends=cfg.branch_ends_group,
                 decode_to_issue=cfg.decode_to_issue,
                 fx_latency=cfg.fx_latency,
                 fx_mul_latency=cfg.fx_mul_latency,
@@ -195,7 +232,9 @@ class ArraySMTCore(SMTCore):
         return consts
 
     def _live_kernels(self, th: ArrayThread | None, width: int):
-        """Kernel list for ``th``'s current trace at ``width`` (or None).
+        """Kernel list for ``th``'s current trace at ``width``.
+
+        None for an empty context or a finished thread (empty trace).
 
         Instantiation binds the thread scoreboard, this core's unit
         pools, memory hierarchy (down to the TLB/L1D per-set lists the
@@ -206,9 +245,8 @@ class ArraySMTCore(SMTCore):
         """
         if th is None:
             return None
-        kernels = th.kernels
-        if kernels is not _UNBOUND and th._kern_width == width:
-            return kernels
+        if th._kern_width == width:
+            return th.kernels
         factory = _factory(th._trace_tuple, self._consts(width))
         if factory is None:
             kernels = None
@@ -258,11 +296,12 @@ class ArraySMTCore(SMTCore):
         """Simulate ``cycles`` cycles; returns cycles actually run."""
         if cycles <= 0:
             return 0
-        if self._tracer is not None or self._rep_gate is not None:
-            # Per-instruction tracing and per-cycle repetition gating
-            # are the instrumented object loop's job.
-            return super().step(cycles)
         cfg = self.config
+        if (self._tracer is not None or self._rep_gate is not None
+                or not cfg.branch_ends_group):
+            # Per-instruction tracing, per-cycle repetition gating and
+            # dynamic group extents are the object loop's job.
+            return super().step(cycles)
         arbiter = self._arbiter
         t0, t1 = self._threads
         retire_budget = cfg.retire_groups_per_cycle
@@ -286,9 +325,8 @@ class ArraySMTCore(SMTCore):
         bal_on = bal_enabled and t0 is not None and t1 is not None
         misp_pen = cfg.branch.mispredict_penalty
         thr_interval = bal_cfg.throttle_interval
-        decode_slot = self._decode_slot  # reference path (prio groups,
-        #                                  unkernelizable traces)
-        BIG = 1 << 62
+        decode_group = self._decode_group
+        BIG = _NEVER
 
         dec_width, tab, tab_len = self._array_locals()
         one = tab_len == 1
@@ -296,60 +334,29 @@ class ArraySMTCore(SMTCore):
         kern0 = self._live_kernels(t0, dec_width)
         kern1 = self._live_kernels(t1, dec_width)
 
-        # Hot per-thread state lives in locals; the thread objects are
-        # synced before anything that can observe them runs (reference
-        # decode, flush, window update, hooks) and on return.  ``balancer_stalled`` is written through on change
-        # (transitions are rare) so the attribute is never stale;
-        # ``throttled`` is only ever written by the window update and
-        # hooks, so the local is reloaded there.
+        # Hot per-thread state lives in locals (ArrayThread.hot); it is
+        # stored back before anything that can observe it runs (flush,
+        # window update, hooks) and on return.  ``balancer_stalled`` is
+        # written through on change (transitions are rare) so the
+        # attribute is never stale; ``throttled`` is only ever written
+        # by the window update and hooks, so the local is reloaded
+        # there.
         if t0 is not None:
-            q0 = t0.inflight
-            ends0, rets0 = t0.rep_end_times, t0.rep_end_retired
-            rst0 = t0.rep_start_times
-            own0, gh0, ret0 = t0.owned_slots, t0.gct_held, t0.retired
-            dec0, grp0 = t0.decoded, t0.groups_dispatched
-            opw0, fuw0 = t0.operand_wait_cycles, t0.fu_wait_cycles
-            ws0, lg0 = t0.wasted_slots, t0.slots_lost_gct
-            ls0, lb0 = t0.slots_lost_stall, t0.slots_lost_balancer
-            lt0, mis0 = t0.slots_lost_throttle, t0.mispredicts
-            su0, pos0 = t0.stall_until, t0.pos
-            bst0, thr0 = t0.balancer_stalled, t0.throttled
-            rep0, n0 = t0.rep_index, len(t0.trace)
-            avail0 = not t0.finished
-            nc0 = q0[0][0] if q0 else BIG
+            q0, ends0 = t0.inflight, t0.rep_end_times
+            rets0, rst0 = t0.rep_end_retired, t0.rep_start_times
         else:
-            q0 = None
-            ends0 = rets0 = rst0 = None
-            own0 = gh0 = ret0 = dec0 = grp0 = opw0 = fuw0 = 0
-            ws0 = lg0 = ls0 = lb0 = lt0 = mis0 = 0
-            su0 = pos0 = rep0 = n0 = 0
-            bst0 = thr0 = False
-            avail0 = False
-            nc0 = BIG
+            q0 = ends0 = rets0 = rst0 = None
         if t1 is not None:
-            q1 = t1.inflight
-            ends1, rets1 = t1.rep_end_times, t1.rep_end_retired
-            rst1 = t1.rep_start_times
-            own1, gh1, ret1 = t1.owned_slots, t1.gct_held, t1.retired
-            dec1, grp1 = t1.decoded, t1.groups_dispatched
-            opw1, fuw1 = t1.operand_wait_cycles, t1.fu_wait_cycles
-            ws1, lg1 = t1.wasted_slots, t1.slots_lost_gct
-            ls1, lb1 = t1.slots_lost_stall, t1.slots_lost_balancer
-            lt1, mis1 = t1.slots_lost_throttle, t1.mispredicts
-            su1, pos1 = t1.stall_until, t1.pos
-            bst1, thr1 = t1.balancer_stalled, t1.throttled
-            rep1, n1 = t1.rep_index, len(t1.trace)
-            avail1 = not t1.finished
-            nc1 = q1[0][0] if q1 else BIG
+            q1, ends1 = t1.inflight, t1.rep_end_times
+            rets1, rst1 = t1.rep_end_retired, t1.rep_start_times
         else:
-            q1 = None
-            ends1 = rets1 = rst1 = None
-            own1 = gh1 = ret1 = dec1 = grp1 = opw1 = fuw1 = 0
-            ws1 = lg1 = ls1 = lb1 = lt1 = mis1 = 0
-            su1 = pos1 = rep1 = n1 = 0
-            bst1 = thr1 = False
-            avail1 = False
-            nc1 = BIG
+            q1 = ends1 = rets1 = rst1 = None
+        (own0, gh0, ret0, dec0, grp0, opw0, fuw0, ws0, lg0, ls0, lb0, lt0,
+         mis0, su0, pos0, bst0, thr0, rep0, avail0, nc0) = (
+            t0.hot() if t0 is not None else _EMPTY_HOT)
+        (own1, gh1, ret1, dec1, grp1, opw1, fuw1, ws1, lg1, ls1, lb1, lt1,
+         mis1, su1, pos1, bst1, thr1, rep1, avail1, nc1) = (
+            t1.hot() if t1 is not None else _EMPTY_HOT)
         gct_used = self._gct_used
 
         now = self._cycle
@@ -376,6 +383,12 @@ class ArraySMTCore(SMTCore):
             # Same slot-passing strictness as the object engine: an
             # *empty* owner (no context, workload finished) passes the
             # slot to the sibling; a merely *blocked* owner wastes it.
+            # A group start without a kernel (priority-nop group, or a
+            # start off the compiled chain after a width change) is
+            # walked by ``_decode_group``, which returns what a kernel
+            # returns; a priority nop it executed may have rebuilt the
+            # arbiter, so the locals are refreshed before the dispatch
+            # tail.
             tid = tid0 if one else tab[now % tab_len]
             if tid is not None:
                 if tid == 0:
@@ -396,72 +409,12 @@ class ArraySMTCore(SMTCore):
                     elif gct_used >= gct_groups:
                         lg0 += 1
                     else:
-                        p = pos0
-                        k = (kern0[p]
-                             if kern0 is not None and p < n0 else None)
+                        k = kern0[pos0]
                         if k is not None:
                             p2, cnt, gcomp, ow, fw, mc, rd = k(now, 0)
-                            opw0 += ow
-                            fuw0 += fw
-                            if mc >= 0:
-                                mis0 += 1
-                                su0 = mc + misp_pen
-                            if p == 0 and len(rst0) == rep0:
-                                rst0.append(now)
-                            q0.append((gcomp, cnt, rd, p, rep0))
-                            if nc0 == BIG:
-                                nc0 = gcomp
-                            gh0 += 1
-                            gct_used += 1
-                            dec0 += cnt
-                            grp0 += 1
-                            pos0 = p2
-                            if rd:
-                                t0.advance_repetition()
-                                pos0 = 0
-                                rep0 = t0.rep_index
-                                n0 = len(t0.trace)
-                                avail0 = not t0.finished
-                                kern0 = self._live_kernels(t0, dec_width)
                         else:
-                            # Reference path: prio group, unkernelized
-                            # trace, or the defensive pos-overrun case.
-                            t0.owned_slots = own0
-                            t0.gct_held = gh0
-                            t0.retired = ret0
-                            t0.decoded = dec0
-                            t0.groups_dispatched = grp0
-                            t0.operand_wait_cycles = opw0
-                            t0.fu_wait_cycles = fuw0
-                            t0.wasted_slots = ws0
-                            t0.slots_lost_gct = lg0
-                            t0.slots_lost_stall = ls0
-                            t0.slots_lost_balancer = lb0
-                            t0.slots_lost_throttle = lt0
-                            t0.mispredicts = mis0
-                            t0.stall_until = su0
-                            t0.pos = pos0
-                            self._gct_used = gct_used
-                            decode_slot(t0, 0, now, dec_width)
-                            own0 = t0.owned_slots
-                            gh0 = t0.gct_held
-                            dec0 = t0.decoded
-                            grp0 = t0.groups_dispatched
-                            opw0 = t0.operand_wait_cycles
-                            fuw0 = t0.fu_wait_cycles
-                            ws0 = t0.wasted_slots
-                            lg0 = t0.slots_lost_gct
-                            ls0 = t0.slots_lost_stall
-                            lb0 = t0.slots_lost_balancer
-                            lt0 = t0.slots_lost_throttle
-                            mis0 = t0.mispredicts
-                            su0 = t0.stall_until
-                            pos0 = t0.pos
-                            gct_used = self._gct_used
-                            rep0 = t0.rep_index
-                            n0 = len(t0.trace)
-                            avail0 = not t0.finished
-                            nc0 = q0[0][0] if q0 else BIG
+                            p2, cnt, gcomp, ow, fw, mc, rd = decode_group(
+                                t0, pos0, 0, now, dec_width)
                             if arbiter is not self._arbiter:
                                 arbiter = self._arbiter
                                 prio_p, prio_s = self.priorities
@@ -469,7 +422,28 @@ class ArraySMTCore(SMTCore):
                                     self._array_locals())
                                 one = tab_len == 1
                                 tid0 = tab[0]
+                                kern0 = self._live_kernels(t0, dec_width)
                                 kern1 = self._live_kernels(t1, dec_width)
+                        opw0 += ow
+                        fuw0 += fw
+                        if mc >= 0:
+                            mis0 += 1
+                            su0 = mc + misp_pen
+                        if pos0 == 0 and len(rst0) == rep0:
+                            rst0.append(now)
+                        q0.append((gcomp, cnt, rd, pos0, rep0))
+                        if nc0 == BIG:
+                            nc0 = gcomp
+                        gh0 += 1
+                        gct_used += 1
+                        dec0 += cnt
+                        grp0 += 1
+                        pos0 = p2
+                        if rd:
+                            t0.advance_repetition()
+                            pos0 = 0
+                            rep0 = t0.rep_index
+                            avail0 = not t0.finished
                             kern0 = self._live_kernels(t0, dec_width)
                 elif dec == 1:
                     own1 += 1
@@ -485,70 +459,12 @@ class ArraySMTCore(SMTCore):
                     elif gct_used >= gct_groups:
                         lg1 += 1
                     else:
-                        p = pos1
-                        k = (kern1[p]
-                             if kern1 is not None and p < n1 else None)
+                        k = kern1[pos1]
                         if k is not None:
                             p2, cnt, gcomp, ow, fw, mc, rd = k(now, 1)
-                            opw1 += ow
-                            fuw1 += fw
-                            if mc >= 0:
-                                mis1 += 1
-                                su1 = mc + misp_pen
-                            if p == 0 and len(rst1) == rep1:
-                                rst1.append(now)
-                            q1.append((gcomp, cnt, rd, p, rep1))
-                            if nc1 == BIG:
-                                nc1 = gcomp
-                            gh1 += 1
-                            gct_used += 1
-                            dec1 += cnt
-                            grp1 += 1
-                            pos1 = p2
-                            if rd:
-                                t1.advance_repetition()
-                                pos1 = 0
-                                rep1 = t1.rep_index
-                                n1 = len(t1.trace)
-                                avail1 = not t1.finished
-                                kern1 = self._live_kernels(t1, dec_width)
                         else:
-                            t1.owned_slots = own1
-                            t1.gct_held = gh1
-                            t1.retired = ret1
-                            t1.decoded = dec1
-                            t1.groups_dispatched = grp1
-                            t1.operand_wait_cycles = opw1
-                            t1.fu_wait_cycles = fuw1
-                            t1.wasted_slots = ws1
-                            t1.slots_lost_gct = lg1
-                            t1.slots_lost_stall = ls1
-                            t1.slots_lost_balancer = lb1
-                            t1.slots_lost_throttle = lt1
-                            t1.mispredicts = mis1
-                            t1.stall_until = su1
-                            t1.pos = pos1
-                            self._gct_used = gct_used
-                            decode_slot(t1, 1, now, dec_width)
-                            own1 = t1.owned_slots
-                            gh1 = t1.gct_held
-                            dec1 = t1.decoded
-                            grp1 = t1.groups_dispatched
-                            opw1 = t1.operand_wait_cycles
-                            fuw1 = t1.fu_wait_cycles
-                            ws1 = t1.wasted_slots
-                            lg1 = t1.slots_lost_gct
-                            ls1 = t1.slots_lost_stall
-                            lb1 = t1.slots_lost_balancer
-                            lt1 = t1.slots_lost_throttle
-                            mis1 = t1.mispredicts
-                            su1 = t1.stall_until
-                            pos1 = t1.pos
-                            gct_used = self._gct_used
-                            rep1 = t1.rep_index
-                            n1 = len(t1.trace)
-                            avail1 = not t1.finished
-                            nc1 = q1[0][0] if q1 else BIG
+                            p2, cnt, gcomp, ow, fw, mc, rd = decode_group(
+                                t1, pos1, 1, now, dec_width)
                             if arbiter is not self._arbiter:
                                 arbiter = self._arbiter
                                 prio_p, prio_s = self.priorities
@@ -557,6 +473,27 @@ class ArraySMTCore(SMTCore):
                                 one = tab_len == 1
                                 tid0 = tab[0]
                                 kern0 = self._live_kernels(t0, dec_width)
+                                kern1 = self._live_kernels(t1, dec_width)
+                        opw1 += ow
+                        fuw1 += fw
+                        if mc >= 0:
+                            mis1 += 1
+                            su1 = mc + misp_pen
+                        if pos1 == 0 and len(rst1) == rep1:
+                            rst1.append(now)
+                        q1.append((gcomp, cnt, rd, pos1, rep1))
+                        if nc1 == BIG:
+                            nc1 = gcomp
+                        gh1 += 1
+                        gct_used += 1
+                        dec1 += cnt
+                        grp1 += 1
+                        pos1 = p2
+                        if rd:
+                            t1.advance_repetition()
+                            pos1 = 0
+                            rep1 = t1.rep_index
+                            avail1 = not t1.finished
                             kern1 = self._live_kernels(t1, dec_width)
 
             # -- retire (in order, one group per thread per cycle) -----
@@ -618,20 +555,15 @@ class ArraySMTCore(SMTCore):
                             and gct_used >= gct_floor
                             and gh0 >= flush_thr
                             and nc0 > now + horizon):
-                        t0.gct_held = gh0
-                        t0.decoded = dec0
+                        t0.store_hot(own0, gh0, ret0, dec0, grp0, opw0, fuw0,
+                                     ws0, lg0, ls0, lb0, lt0, mis0, su0, pos0)
                         self._gct_used = gct_used
                         self._flush(t0, now)
-                        gh0 = t0.gct_held
-                        dec0 = t0.decoded
                         gct_used = self._gct_used
-                        su0 = t0.stall_until
-                        pos0 = t0.pos
-                        rep0 = t0.rep_index
-                        n0 = len(t0.trace)
-                        avail0 = not t0.finished
+                        (own0, gh0, ret0, dec0, grp0, opw0, fuw0, ws0, lg0,
+                         ls0, lb0, lt0, mis0, su0, pos0, bst0, thr0, rep0,
+                         avail0, nc0) = t0.hot()
                         kern0 = self._live_kernels(t0, dec_width)
-                        nc0 = q0[0][0] if q0 else BIG
                 if not avail0:
                     if bst1:
                         bst1 = t1.balancer_stalled = False
@@ -650,25 +582,22 @@ class ArraySMTCore(SMTCore):
                             and gct_used >= gct_floor
                             and gh1 >= flush_thr
                             and nc1 > now + horizon):
-                        t1.gct_held = gh1
-                        t1.decoded = dec1
+                        t1.store_hot(own1, gh1, ret1, dec1, grp1, opw1, fuw1,
+                                     ws1, lg1, ls1, lb1, lt1, mis1, su1, pos1)
                         self._gct_used = gct_used
                         self._flush(t1, now)
-                        gh1 = t1.gct_held
-                        dec1 = t1.decoded
                         gct_used = self._gct_used
-                        su1 = t1.stall_until
-                        pos1 = t1.pos
-                        rep1 = t1.rep_index
-                        n1 = len(t1.trace)
-                        avail1 = not t1.finished
+                        (own1, gh1, ret1, dec1, grp1, opw1, fuw1, ws1, lg1,
+                         ls1, lb1, lt1, mis1, su1, pos1, bst1, thr1, rep1,
+                         avail1, nc1) = t1.hot()
                         kern1 = self._live_kernels(t1, dec_width)
-                        nc1 = q1[0][0] if q1 else BIG
 
                 if slow and now >= bal.next_window:
                     bal.next_window = now + window
-                    t0.retired = ret0
-                    t1.retired = ret1
+                    t0.store_hot(own0, gh0, ret0, dec0, grp0, opw0, fuw0,
+                                 ws0, lg0, ls0, lb0, lt0, mis0, su0, pos0)
+                    t1.store_hot(own1, gh1, ret1, dec1, grp1, opw1, fuw1,
+                                 ws1, lg1, ls1, lb1, lt1, mis1, su1, pos1)
                     self._window_update(t0, t1, prio_p, prio_s)
                     thr0 = t0.throttled
                     thr1 = t1.throttled
@@ -676,41 +605,15 @@ class ArraySMTCore(SMTCore):
             # -- periodic hooks ----------------------------------------
             if slow and 0 <= self._next_hook <= now:
                 # Hooks observe everything (PMU capture, governor
-                # policies): sync the localized state out first and
-                # reload after -- a hook may retune priorities or read
-                # any thread counter.
+                # policies): store the localized state first and reload
+                # after -- a hook may retune priorities or read any
+                # thread counter.
                 if t0 is not None:
-                    t0.owned_slots = own0
-                    t0.gct_held = gh0
-                    t0.retired = ret0
-                    t0.decoded = dec0
-                    t0.groups_dispatched = grp0
-                    t0.operand_wait_cycles = opw0
-                    t0.fu_wait_cycles = fuw0
-                    t0.wasted_slots = ws0
-                    t0.slots_lost_gct = lg0
-                    t0.slots_lost_stall = ls0
-                    t0.slots_lost_balancer = lb0
-                    t0.slots_lost_throttle = lt0
-                    t0.mispredicts = mis0
-                    t0.stall_until = su0
-                    t0.pos = pos0
+                    t0.store_hot(own0, gh0, ret0, dec0, grp0, opw0, fuw0,
+                                 ws0, lg0, ls0, lb0, lt0, mis0, su0, pos0)
                 if t1 is not None:
-                    t1.owned_slots = own1
-                    t1.gct_held = gh1
-                    t1.retired = ret1
-                    t1.decoded = dec1
-                    t1.groups_dispatched = grp1
-                    t1.operand_wait_cycles = opw1
-                    t1.fu_wait_cycles = fuw1
-                    t1.wasted_slots = ws1
-                    t1.slots_lost_gct = lg1
-                    t1.slots_lost_stall = ls1
-                    t1.slots_lost_balancer = lb1
-                    t1.slots_lost_throttle = lt1
-                    t1.mispredicts = mis1
-                    t1.stall_until = su1
-                    t1.pos = pos1
+                    t1.store_hot(own1, gh1, ret1, dec1, grp1, opw1, fuw1,
+                                 ws1, lg1, ls1, lb1, lt1, mis1, su1, pos1)
                 self._gct_used = gct_used
                 for h in self._hooks:
                     if now >= h[1]:
@@ -718,35 +621,13 @@ class ArraySMTCore(SMTCore):
                         h[2](self, now)
                 self._next_hook = min(h[1] for h in self._hooks)
                 if t0 is not None:
-                    own0, gh0, ret0 = (t0.owned_slots, t0.gct_held,
-                                       t0.retired)
-                    dec0, grp0 = t0.decoded, t0.groups_dispatched
-                    opw0, fuw0 = (t0.operand_wait_cycles,
-                                  t0.fu_wait_cycles)
-                    ws0, lg0 = t0.wasted_slots, t0.slots_lost_gct
-                    ls0, lb0 = (t0.slots_lost_stall,
-                                t0.slots_lost_balancer)
-                    lt0, mis0 = t0.slots_lost_throttle, t0.mispredicts
-                    su0, pos0 = t0.stall_until, t0.pos
-                    bst0, thr0 = t0.balancer_stalled, t0.throttled
-                    rep0, n0 = t0.rep_index, len(t0.trace)
-                    avail0 = not t0.finished
-                    nc0 = q0[0][0] if q0 else BIG
+                    (own0, gh0, ret0, dec0, grp0, opw0, fuw0, ws0, lg0,
+                     ls0, lb0, lt0, mis0, su0, pos0, bst0, thr0, rep0,
+                     avail0, nc0) = t0.hot()
                 if t1 is not None:
-                    own1, gh1, ret1 = (t1.owned_slots, t1.gct_held,
-                                       t1.retired)
-                    dec1, grp1 = t1.decoded, t1.groups_dispatched
-                    opw1, fuw1 = (t1.operand_wait_cycles,
-                                  t1.fu_wait_cycles)
-                    ws1, lg1 = t1.wasted_slots, t1.slots_lost_gct
-                    ls1, lb1 = (t1.slots_lost_stall,
-                                t1.slots_lost_balancer)
-                    lt1, mis1 = t1.slots_lost_throttle, t1.mispredicts
-                    su1, pos1 = t1.stall_until, t1.pos
-                    bst1, thr1 = t1.balancer_stalled, t1.throttled
-                    rep1, n1 = t1.rep_index, len(t1.trace)
-                    avail1 = not t1.finished
-                    nc1 = q1[0][0] if q1 else BIG
+                    (own1, gh1, ret1, dec1, grp1, opw1, fuw1, ws1, lg1,
+                     ls1, lb1, lt1, mis1, su1, pos1, bst1, thr1, rep1,
+                     avail1, nc1) = t1.hot()
                 gct_used = self._gct_used
                 if arbiter is not self._arbiter:
                     arbiter = self._arbiter
@@ -770,37 +651,11 @@ class ArraySMTCore(SMTCore):
             now += 1
 
         if t0 is not None:
-            t0.owned_slots = own0
-            t0.gct_held = gh0
-            t0.retired = ret0
-            t0.decoded = dec0
-            t0.groups_dispatched = grp0
-            t0.operand_wait_cycles = opw0
-            t0.fu_wait_cycles = fuw0
-            t0.wasted_slots = ws0
-            t0.slots_lost_gct = lg0
-            t0.slots_lost_stall = ls0
-            t0.slots_lost_balancer = lb0
-            t0.slots_lost_throttle = lt0
-            t0.mispredicts = mis0
-            t0.stall_until = su0
-            t0.pos = pos0
+            t0.store_hot(own0, gh0, ret0, dec0, grp0, opw0, fuw0, ws0, lg0,
+                         ls0, lb0, lt0, mis0, su0, pos0)
         if t1 is not None:
-            t1.owned_slots = own1
-            t1.gct_held = gh1
-            t1.retired = ret1
-            t1.decoded = dec1
-            t1.groups_dispatched = grp1
-            t1.operand_wait_cycles = opw1
-            t1.fu_wait_cycles = fuw1
-            t1.wasted_slots = ws1
-            t1.slots_lost_gct = lg1
-            t1.slots_lost_stall = ls1
-            t1.slots_lost_balancer = lb1
-            t1.slots_lost_throttle = lt1
-            t1.mispredicts = mis1
-            t1.stall_until = su1
-            t1.pos = pos1
+            t1.store_hot(own1, gh1, ret1, dec1, grp1, opw1, fuw1, ws1, lg1,
+                         ls1, lb1, lt1, mis1, su1, pos1)
         self._gct_used = gct_used
         self._cycle = now
         return cycles

@@ -92,9 +92,9 @@ class SMTCore:
         self._dec_consts = (
             cfg.break_group_on_long_dep,
             cfg.branch_ends_group, cfg.decode_to_issue, cfg.fx_latency,
-            cfg.fx_mul_latency, cfg.fp_latency, cfg.branch_latency,
-            cfg.branch.mispredict_penalty, cfg.gct_groups,
-            cfg.balancer.throttle_interval)
+            cfg.fx_mul_latency, cfg.fp_latency, cfg.branch_latency)
+        self._slot_consts = (cfg.branch.mispredict_penalty, cfg.gct_groups,
+                             cfg.balancer.throttle_interval)
         self._fxu_pool = self.fus.fxu
         self._lsu_pool = self.fus.lsu
         self._fpu_pool = self.fus.fpu
@@ -414,12 +414,12 @@ class SMTCore:
         return False
 
     def _decode_slot(self, th: HardwareThread, tid: int, now: int,
-                     width: int = 0) -> None:
+                     width: int) -> None:
         """Attempt to decode one group for the slot owner ``th``.
 
-        ``width`` is the group width under the current arbiter mode
-        (precomputed by the caller; 0 means derive it here).  A slot
-        the owner cannot use is counted as wasted or lost.
+        ``width`` is the group width under the current arbiter mode.  A
+        slot the owner cannot use is counted as wasted or lost; a usable
+        one decodes a group (:meth:`_decode_group`) and dispatches it.
         """
         if th.stall_until > now:
             th.wasted_slots += 1
@@ -429,8 +429,7 @@ class SMTCore:
             th.wasted_slots += 1
             th.slots_lost_balancer += 1
             return
-        (break_long, branch_ends, d2i, fx_lat, mul_lat, fp_lat,
-         br_lat, misp_pen, gct_groups, thr_interval) = self._dec_consts
+        misp_pen, gct_groups, thr_interval = self._slot_consts
         if th.throttled and th.owned_slots % thr_interval:
             th.wasted_slots += 1
             th.slots_lost_throttle += 1
@@ -439,17 +438,59 @@ class SMTCore:
             th.slots_lost_gct += 1
             return
 
-        trace = th.trace
-        pos = th.pos
-        n = len(trace)
-        if pos >= n:  # defensive: advance_repetition keeps pos < n
+        start_pos = th.pos
+        if start_pos >= len(th.trace):  # defensive: advance keeps pos < n
+            th.wasted_slots += 1
+            th.slots_lost_other += 1
+            return
+        pos, count, group_comp, op_wait, fu_wait, misp_comp, rep_done = (
+            self._decode_group(th, start_pos, tid, now, width))
+        if count == 0:
+            # First instruction of the group hit a break rule against an
+            # empty group -- cannot happen, but never dispatch nothing.
             th.wasted_slots += 1
             th.slots_lost_other += 1
             return
 
-        if not width:
-            width = self._arb_locals()[4]
+        if misp_comp >= 0:
+            th.mispredicts += 1
+            th.stall_until = misp_comp + misp_pen
+        if op_wait:
+            th.operand_wait_cycles += op_wait
+        if fu_wait:
+            th.fu_wait_cycles += fu_wait
+        start_rep = th.rep_index
+        if start_pos == 0 and len(th.rep_start_times) == start_rep:
+            th.rep_start_times.append(now)
+        th.inflight.append((group_comp, count, rep_done, start_pos, start_rep))
+        th.gct_held += 1
+        self._gct_used += 1
+        th.decoded += count
+        th.groups_dispatched += 1
+        th.pos = pos
+        if rep_done:
+            th.advance_repetition()
+            if self._rep_gate is not None:
+                th.gated = True
 
+    def _decode_group(self, th: HardwareThread, pos: int, tid: int,
+                      now: int, width: int) -> tuple:
+        """Walk the group of up to ``width`` instructions at ``pos``.
+
+        Schedules each instruction against the scoreboard, the unit
+        pools and the memory hierarchy, and executes priority nops.
+        Returns ``(next_pos, count, group_comp, op_wait, fu_wait,
+        mispredict_comp, rep_done)`` -- the contract of a compiled
+        group kernel (:mod:`repro.isa.kernelgen`), so the array engine
+        calls this wherever it has no kernel and dispatches the result
+        through its kernel tail.  ``mispredict_comp`` is the
+        mispredicted branch's completion cycle, or -1.  Reads no
+        slot-accounting counter, so callers need not sync any.
+        """
+        (break_long, branch_ends, d2i, fx_lat, mul_lat, fp_lat,
+         br_lat) = self._dec_consts
+        trace = th.trace
+        n = len(trace)
         reg_ready = th.reg_ready
         # Functional-unit issue is inlined below (UnitPool.issue with
         # the call overhead stripped); these locals mirror its state.
@@ -469,11 +510,10 @@ class SMTCore:
         group_comp = 0
         count = 0
         long_dsts: list[int] = []
-        start_pos = pos
-        start_rep = th.rep_index
         tracer = self._tracer
         op_wait = 0
         fu_wait = 0
+        misp_comp = -1
 
         while count < width and pos < n:
             ins = trace[pos]
@@ -550,11 +590,9 @@ class SMTCore:
                     group_comp = comp
                 if tracer is not None:
                     tracer.record(tid, op, now, start, comp)
-                correct = self.bht.predict_and_update(
-                    (pos << 1) | tid, aux == 1, tid)
-                if not correct:
-                    th.mispredicts += 1
-                    th.stall_until = comp + misp_pen
+                if not self.bht.predict_and_update(
+                        (pos << 1) | tid, aux == 1, tid):
+                    misp_comp = comp
                     break
                 if branch_ends:
                     break
@@ -577,30 +615,8 @@ class SMTCore:
             pos += 1
             count += 1
 
-        if count == 0:
-            # First instruction of the group hit a break rule against an
-            # empty group -- cannot happen, but never dispatch nothing.
-            th.wasted_slots += 1
-            th.slots_lost_other += 1
-            return
-
-        if op_wait:
-            th.operand_wait_cycles += op_wait
-        if fu_wait:
-            th.fu_wait_cycles += fu_wait
-        rep_done = pos >= n
-        if start_pos == 0 and len(th.rep_start_times) == start_rep:
-            th.rep_start_times.append(now)
-        th.inflight.append((group_comp, count, rep_done, start_pos, start_rep))
-        th.gct_held += 1
-        self._gct_used += 1
-        th.decoded += count
-        th.groups_dispatched += 1
-        th.pos = pos
-        if rep_done:
-            th.advance_repetition()
-            if self._rep_gate is not None:
-                th.gated = True
+        return (pos, count, group_comp, op_wait, fu_wait, misp_comp,
+                pos >= n)
 
     def _flush(self, th: HardwareThread, now: int) -> None:
         """Balancer flush: squash the thread's youngest groups.

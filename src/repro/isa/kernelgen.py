@@ -3,8 +3,9 @@
 :mod:`repro.isa.compiled` lowers a repetition trace to flat parallel
 arrays; this module goes one step further and *compiles the trace to
 Python*.  The observation that makes it exact: with
-``branch_ends_group=True`` (the POWER5 default) a decode group's
-extent is a **static function of its start position** --
+``branch_ends_group=True`` (the POWER5 default; the array engine runs
+nothing else) a decode group's extent is a **static function of its
+start position** --
 
 - the group width is fixed by the arbiter mode,
 - the long-dependency break rule tests ``prev_long[pos] >= start``,
@@ -45,10 +46,11 @@ the L1 (or store) count once -- exactly what
 the hierarchy out of line, which runs the full access as in the
 object engine.
 
-Groups containing a ``PRIO_NOP`` are left to the engine's reference
-decode path (they mutate the arbiter, which a kernel must not), as
-are traces that are not kernelizable at all (``branch_ends_group``
-off, or the generated module would be too large to compile quickly).
+Every non-empty trace compiles.  A group containing a ``PRIO_NOP``
+gets no kernel (it may rebuild the arbiter, which a kernel must not):
+its slot in the kernel list holds None, as does every position that
+is not a group start, and the engine walks such a group with
+``SMTCore._decode_group``, which returns the same tuple.
 """
 
 from __future__ import annotations
@@ -66,11 +68,6 @@ assert (int(OpClass.FX), int(OpClass.FX_MUL), int(OpClass.FP),
 _OP_FX, _OP_MUL, _OP_FP = 0, 1, 2
 _OP_LOAD, _OP_STORE, _OP_BR, _OP_NOP, _OP_PRIO = 3, 4, 5, 6, 7
 
-#: Traces longer than this are not compiled to Python (the generated
-#: module's one-time ``compile()`` cost would stop paying for itself);
-#: the engine falls back to the reference decode path for them.
-MAX_KERNEL_INSTRUCTIONS = 8192
-
 
 class KernelConsts(NamedTuple):
     """Configuration constants baked into generated kernels.
@@ -81,7 +78,6 @@ class KernelConsts(NamedTuple):
 
     width: int
     break_long: bool
-    branch_ends: bool
     decode_to_issue: int
     fx_latency: int
     fx_mul_latency: int
@@ -129,12 +125,8 @@ def partition_groups(compiled: CompiledTrace,
 
     Decode starts at position 0 and every subsequent start is the
     previous group's end; flush rewinds target starts already in the
-    chain.  Requires ``consts.branch_ends`` (otherwise extents depend
-    on branch predictions and are not static).
+    chain.  Branches end groups (``branch_ends_group``).
     """
-    if not consts.branch_ends:
-        raise ValueError("group extents are dynamic without "
-                         "branch_ends_group")
     ops = compiled.op
     prev_long = compiled.prev_long
     n = len(ops)
@@ -241,7 +233,7 @@ def _emit_group(compiled: CompiledTrace, g0: int, end: int,
 
     # Last writer per register: only its scoreboard store survives
     # (intermediate values are forwarded through locals).  Branches
-    # never write the scoreboard -- the reference decode loop's branch
+    # never write the scoreboard -- ``SMTCore._decode_group``'s branch
     # path breaks out before the generic destination store.
     last_writer: dict[int, int] = {}
     for p in idx:
@@ -418,17 +410,16 @@ _ACCESS = """\
 def generate_factory(compiled: CompiledTrace, consts: KernelConsts):
     """``(source, groups)`` of ``make_kernels`` for ``compiled``, or None.
 
-    ``source`` defines the distinct group bodies; ``groups`` holds one
-    ``(start, body index, values, refs)`` row per kernelized group,
-    which ``make_kernels`` instantiates (see :func:`_emit_group`).
+    ``source`` defines the distinct group bodies and each body's
+    ``refs`` (they depend only on the body); ``groups`` holds one
+    ``(start, body index, values)`` row per kernelized group, which
+    ``make_kernels`` instantiates (see :func:`_emit_group`).
     Keeping the rows as data, not source, keeps ``compile()`` to the
-    bodies.  None means the trace is not kernelizable under ``consts``
-    (group extents dynamic, empty trace, or too large); callers fall
-    back to the reference decode path.
+    bodies, so trace length costs rows, not compile time.  None only
+    for the empty trace.
     """
     n = len(compiled.op)
-    if (not consts.branch_ends or consts.width < 1 or n == 0
-            or n > MAX_KERNEL_INSTRUCTIONS):
+    if n == 0:
         return None
     out: list[str] = [
         "from types import FunctionType as _FT",
@@ -449,21 +440,25 @@ def generate_factory(compiled: CompiledTrace, consts: KernelConsts):
     # compile each distinct body once and instantiate the per-group
     # functions by rebinding the group-varying parameter defaults.
     bodies: dict[str, int] = {}
+    body_refs: list[tuple] = []
     rows = []
     for g0, (end, has_prio) in partition_groups(compiled, consts).items():
         if has_prio:
-            continue  # reference path: may rebuild the arbiter
+            continue  # walked by _decode_group: may rebuild the arbiter
         body, values, refs = _emit_group(compiled, g0, end, consts)
         index = bodies.get(body)
         if index is None:
             index = bodies[body] = len(bodies)
+            body_refs.append(refs)
             out.append(f"    def _b{index}{body}")
-        rows.append((g0, index, values, refs))
+        rows.append((g0, index, values))
     out += [
         f"    B = ({''.join(f'_b{i}, ' for i in range(len(bodies)))})",
+        f"    R = {tuple(body_refs)!r}",
         "    sets = (tt, tst, dt, dst)",
         f"    K = [None] * {n}",
-        "    for g0, b, pre, refs in GROUPS:",
+        "    for g0, b, pre in GROUPS:",
+        "        refs = R[b]",
         "        if refs:",
         "            pre = list(pre)",
         "            for k, unit in refs:",

@@ -111,8 +111,7 @@ def compiled_trace(instructions: tuple) -> CompiledTrace:
 # the relevant configuration constants baked in as literals.  The
 # compile() of the generated module is the expensive part (tens of
 # milliseconds for a large trace), so factories are cached process-
-# wide keyed by (instruction tuple, baked constants); a None entry
-# records that the trace is not kernelizable under those constants.
+# wide keyed by (instruction tuple, baked constants).
 
 _FACTORIES: dict[tuple, object] = {}
 
@@ -125,9 +124,8 @@ _FACTORY_UNSET = object()
 def kernel_factory(instructions: tuple, consts: KernelConsts):
     """Fetch (or compile) the kernel factory for a trace.
 
-    Returns the generated ``make_kernels`` function, or None when the
-    trace is not kernelizable under ``consts`` (the engine then uses
-    its reference decode path).  The negative answer is cached too.
+    Returns the generated ``make_kernels`` function, or None for the
+    empty trace (a finished thread).
     """
     global _FACTORY_HITS, _FACTORY_MISSES
     key = (instructions, consts)

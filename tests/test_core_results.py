@@ -114,6 +114,12 @@ class TestConfig:
         assert other.decode_width == 4
         assert cfg.decode_width == 5
 
+    def test_zero_decode_width_rejected(self):
+        # A width-0 machine could never decode a group; the kernel
+        # compiler has no such group to emit.
+        with pytest.raises(ValueError, match="decode_width"):
+            POWER5.small().replace(decode_width=0)
+
     def test_seconds(self):
         cfg = POWER5.default()
         assert cfg.seconds(cfg.clock_hz) == pytest.approx(1.0)

@@ -5,7 +5,8 @@ written by any other version of the result schema (e.g. a pickle from
 the single-core era, v1) can therefore never satisfy a lookup made by
 the current code, no matter how the rest of the key matches.  Compiled
 kernels bake in the TLB/L1D geometry, so their cache key carries it
-and two machine shapes never share one.
+and two machine shapes never share one.  Every non-empty trace gets a
+kernel factory, however long.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.isa.trace import FixedTraceSource
 from repro.microbench import make_microbenchmark
 from repro.pmu import Pmu
 from repro.workloads import tracecache
+from repro.workloads.fft import FFTTraceProgram
 from repro.workloads.tracecache import (
     SCHEMA_VERSION,
     cache_info,
@@ -177,3 +179,25 @@ def test_both_geometries_bit_identical_in_one_process():
             obj = run(dataclasses.replace(config, engine="object"), pair)
             assert array == obj, (pair, config.l1d)
             assert array[1].counter("PM_ST_CMPL", 0) > 0
+
+
+def test_fft128_compiles_and_matches_object_engine():
+    """FFT-128, table4's producer and the longest built-in trace,
+    compiles at the full and the low-power decode width (no length
+    cap), and its single-thread FAME run is bit-identical across
+    engines."""
+    config = POWER5.small()
+    trace = tuple(FFTTraceProgram(128, config).repetition(0))
+    assert len(trace) > 8192
+    core = make_core(config)
+    for width in (config.decode_width, 1):
+        assert tracecache.kernel_factory(trace, core._consts(width)) \
+            is not None
+
+    def run(cfg):
+        runner = FameRunner(cfg, min_repetitions=2, max_cycles=2_000_000)
+        return runner.run_single(FFTTraceProgram(128, cfg))
+
+    array = run(config)
+    assert array == run(dataclasses.replace(config, engine="object"))
+    assert array.thread(0).repetitions >= 2
